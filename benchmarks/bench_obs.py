@@ -84,7 +84,7 @@ def _bare_anneal(kernel, params: SAParams, seed: int) -> SAStats:
                 current_cost = new_cost
                 stats.accepted += 1
                 step_accepted += 1
-                if delta > 0:
+                if delta > BEST_IMPROVEMENT_EPS:
                     stats.accepted_uphill += 1
                 if current_cost < stats.best_cost - BEST_IMPROVEMENT_EPS:
                     stats.best_cost = current_cost

@@ -66,9 +66,15 @@ def _drain_on_signal():
     sinks instead of dying with a traceback; previous handlers are
     restored on the way out.  A non-main thread (tests driving ``main()``
     directly) cannot install handlers — the block simply runs bare.
+
+    Python drops an exception raised where it cannot propagate (an
+    at-fork hook while the pool forks, a ``__del__``), so a signal that
+    lands there is remembered and raised when the block ends instead.
     """
+    received = []
 
     def handler(signum, frame):
+        received.append(signum)
         raise _DrainSignal(signum)
 
     previous = {}
@@ -82,6 +88,8 @@ def _drain_on_signal():
     finally:
         for signum, old in previous.items():
             _signal.signal(signum, old)
+    if received:
+        raise _DrainSignal(received[0])
 
 
 def _run_workload(
@@ -146,23 +154,26 @@ def _run_workload(
             verify=verify,
             profile=profile,
         )
-        print(
-            f"running {len(specs)} {name} job(s) "
-            f"(jobs={jobs}, seed={seed}, cache={'on' if cache else 'off'})...",
-            file=sys.stderr,
-        )
         try:
-            with _drain_on_signal(), span("run", telemetry, workload=name):
-                if tempering:
-                    outcomes = _run_tempering_specs(
-                        engine,
-                        specs,
-                        chains=tempering,
-                        swap_stride=swap_stride,
-                        ladder=ladder,
-                    )
-                else:
-                    outcomes = engine.run(specs)
+            # The handler goes in before the banner, so a signal sent as
+            # soon as the banner is read always drains.
+            with _drain_on_signal():
+                print(
+                    f"running {len(specs)} {name} job(s) (jobs={jobs}, "
+                    f"seed={seed}, cache={'on' if cache else 'off'})...",
+                    file=sys.stderr,
+                )
+                with span("run", telemetry, workload=name):
+                    if tempering:
+                        outcomes = _run_tempering_specs(
+                            engine,
+                            specs,
+                            chains=tempering,
+                            swap_stride=swap_stride,
+                            ladder=ladder,
+                        )
+                    else:
+                        outcomes = engine.run(specs)
         except _DrainSignal as exc:
             # Graceful drain: release the worker pool, let the ExitStack
             # flush/close the trace sink, and exit with the conventional
@@ -365,22 +376,23 @@ def _cmd_tune(args) -> int:
         engine = JobEngine(
             jobs=args.jobs, cache=cache, telemetry=telemetry
         )
-        print(
-            f"sweeping {grid.cell_count()} cells on circuit{args.circuit} "
-            f"(jobs={args.jobs}, seed={args.seed}, "
-            f"cache={'on' if cache else 'off'})...",
-            file=sys.stderr,
-        )
         try:
-            with _drain_on_signal(), span("tune", telemetry):
-                report, outcomes = run_sweep(
-                    engine,
-                    args.circuit,
-                    grid=grid,
-                    seed=args.seed,
-                    tiers=args.tiers,
-                    backend=args.backend,
+            with _drain_on_signal():
+                print(
+                    f"sweeping {grid.cell_count()} cells on circuit{args.circuit} "
+                    f"(jobs={args.jobs}, seed={args.seed}, "
+                    f"cache={'on' if cache else 'off'})...",
+                    file=sys.stderr,
                 )
+                with span("tune", telemetry):
+                    report, outcomes = run_sweep(
+                        engine,
+                        args.circuit,
+                        grid=grid,
+                        seed=args.seed,
+                        tiers=args.tiers,
+                        backend=args.backend,
+                    )
         except _DrainSignal as exc:
             engine.close()
             print(

@@ -44,8 +44,11 @@ def _executed_steps(initial_temp: float, final_temp: float, cooling: float) -> i
     return steps
 
 #: Minimum cost improvement that counts as a new best (and triggers a
-#: snapshot).  Keeps best-state selection invariant to the ~1e-16 rounding
-#: differences between cost backends; genuine Eq.-3 deltas are >= ~1e-6.
+#: snapshot), and minimum rise that counts an accepted move as uphill.
+#: Keeps best-state selection and the uphill count invariant to the ~1e-16
+#: rounding differences between cost backends (a no-op swap is exactly 0.0
+#: on the integer-backed kernel but can read +1e-16 on the object model);
+#: genuine Eq.-3 deltas are >= ~1e-6.
 BEST_IMPROVEMENT_EPS = 1e-12
 
 
@@ -282,7 +285,7 @@ class SimulatedAnnealer:
                             current_cost = new_cost
                             stats.accepted += 1
                             step_accepted += 1
-                            if delta > 0:
+                            if delta > BEST_IMPROVEMENT_EPS:
                                 stats.accepted_uphill += 1
                             # Require a material improvement before re-snapshotting:
                             # cost backends agree only to float rounding (~1e-16), so

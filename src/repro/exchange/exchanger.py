@@ -46,19 +46,22 @@ class FingerPadExchanger:
 
     ``backend`` selects the cost/move machinery the anneal runs on:
 
+    ``"array"``
+        :class:`~repro.kernels.ArrayExchangeKernel` — the production path:
+        flat NumPy state with O(1) swap deltas, move-for-move identical to
+        ``"object"`` under a shared seed (proven by ``tests/test_kernels.py``).
+        The kernel also produces the before/after Eq.-3 breakdown and omega
+        of the :class:`ExchangeResult`.
     ``"object"``
         :class:`CachedExchangeCost` over ``Assignment`` objects — the
-        reference implementation, supports custom ``ir_proxy`` injection.
-    ``"array"``
-        :class:`~repro.kernels.ArrayExchangeKernel` — flat NumPy state
-        with O(1) swap deltas, move-for-move identical to ``"object"``
-        under a shared seed (proven by ``tests/test_kernels.py``).
+        reference implementation and the only backend that supports a
+        custom ``ir_proxy``.
     ``"exact"``
         :class:`ExchangeCost` re-derived from scratch every move; only
         useful for debugging the caches.
     ``"auto"`` (default)
-        ``"array"`` for large supply-routed designs, else ``"object"``
-        (see :func:`repro.kernels.resolve_backend`).
+        ``"array"`` at every design size, ``"object"`` when a custom
+        ``ir_proxy`` is given (see :func:`repro.kernels.resolve_backend`).
     """
 
     def __init__(
@@ -126,7 +129,7 @@ class FingerPadExchanger:
         return self._run_object(assignments, seed)
 
     def _run_array(self, assignments: Dict, seed: Optional[int]) -> ExchangeResult:
-        """Anneal on the flat-array kernel; report through the object model."""
+        """Anneal on the flat-array kernel, which also writes the report."""
         import time
 
         from ..kernels import ArrayExchangeKernel
@@ -134,11 +137,10 @@ class FingerPadExchanger:
         from ..runtime.telemetry import get_telemetry
 
         telemetry = get_telemetry()
-        before = {side: assignment.copy() for side, assignment in assignments.items()}
         with span("kernel.build", telemetry):
             kernel = ArrayExchangeKernel(
                 self.design,
-                before,
+                assignments,
                 weights=self.weights,
                 net_type=self.net_type,
                 track_all_rows=self.track_all_rows,
@@ -146,6 +148,9 @@ class FingerPadExchanger:
                 power_only=self.power_only,
                 wl_resync_interval=self.wl_resync_interval,
             )
+        with span("exchange.report", telemetry):
+            breakdown_before = kernel.breakdown()
+            omega_before = kernel.omega
         checkpoint = self.checkpoint
         if checkpoint is not None:
             from .checkpoint import decode_arrays, encode_arrays
@@ -190,30 +195,22 @@ class FingerPadExchanger:
                 seconds=round(anneal_seconds, 6),
             )
             telemetry.metrics.counter("kernel.resyncs").inc(kernel.resync_count)
-        after = kernel.assignments()
-        for assignment in after.values():
-            check_legal(assignment)
-
-        # Reporting runs through the object model: identical float values,
-        # and it independently cross-checks the kernel's bookkeeping.
-        cost = CachedExchangeCost(
-            self.design,
-            before,
-            weights=self.weights,
-            net_type=self.net_type,
-            track_all_rows=self.track_all_rows,
-            split_networks=self.split_networks,
-        )
-        psi = self.design.stacking.tier_count
-        return ExchangeResult(
-            before=before,
-            after=after,
-            stats=stats,
-            cost_breakdown_before=cost.breakdown(before),
-            cost_breakdown_after=cost.breakdown(after),
-            omega_before=omega_of_design(before, psi),
-            omega_after=omega_of_design(after, psi),
-        )
+        with span("exchange.report", telemetry):
+            before = {
+                side: assignment.copy() for side, assignment in assignments.items()
+            }
+            after = kernel.assignments()
+            for assignment in after.values():
+                check_legal(assignment)
+            return ExchangeResult(
+                before=before,
+                after=after,
+                stats=stats,
+                cost_breakdown_before=breakdown_before,
+                cost_breakdown_after=kernel.breakdown(),
+                omega_before=omega_before,
+                omega_after=kernel.omega,
+            )
 
     def _checkpoint_run_key(self, kernel, seed: Optional[int]) -> str:
         """Identity of one anneal: seed + schedule + weights + baseline.

@@ -125,7 +125,7 @@ def run_segment(
                 current_cost = new_cost
                 accepted += 1
                 step_accepted += 1
-                if delta > 0:
+                if delta > BEST_IMPROVEMENT_EPS:
                     accepted_uphill += 1
                 if current_cost < best_cost - BEST_IMPROVEMENT_EPS:
                     best_cost = current_cost

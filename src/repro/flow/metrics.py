@@ -42,7 +42,9 @@ def measure(
     ``with_ir=False`` skips the (comparatively expensive) power-grid solve —
     Table 2 only needs density and wirelength.  ``backend`` is the staged
     convention and currently steers the density estimator; the IR solve
-    always takes the factor-once path.
+    always takes the factor-once path and the wirelength always the
+    vectorized flyline routine over each quadrant's cached
+    :class:`~repro.routing.wirelength.FlylineTables`.
     """
     density = max_density_of_design(assignments, backend=backend)
     wirelength = total_flyline_length_of_design(assignments)

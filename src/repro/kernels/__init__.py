@@ -4,10 +4,12 @@ High-throughput mirrors of the object-model pipeline stages: flat NumPy
 state plus vectorized inner loops, proven move-for-move (exchange),
 order-identical (assignment) or value-identical (density, IR solve) to
 the object backend.  ``resolve_backend`` implements the ``backend="auto"``
-policy used by :class:`~repro.exchange.FingerPadExchanger`;
-``resolve_stage_backend`` is the per-stage variant shared by the staged
-assignment/density entry points (same ``ARRAY_BACKEND_THRESHOLD``, but
-keyed on a plain element count instead of a design).
+policy used by :class:`~repro.exchange.FingerPadExchanger`: the exchange
+kernel is the production path at every design size, and the object model
+runs only when asked for or when a custom ``ir_proxy`` needs it.
+``resolve_stage_backend`` is the per-stage policy of the staged
+assignment/density entry points, which still switch at
+``ARRAY_BACKEND_THRESHOLD`` elements.
 
 Stage kernels:
 
@@ -29,9 +31,9 @@ try:  # numpy is a hard dependency of the repo, but stay importable without it
 except ImportError:  # pragma: no cover - exercised only on stripped installs
     HAVE_NUMPY = False
 
-#: Designs with at least this many nets default to the array backend under
-#: ``backend="auto"``.  Below it the object backend's per-move cost is
-#: already sub-millisecond and its richer diagnostics win.
+#: Stages touching at least this many elements default to the array
+#: backend under ``backend="auto"`` (assignment and density only; the
+#: exchange takes the array kernel at every size).
 ARRAY_BACKEND_THRESHOLD = 512
 
 #: Accepted backend names, in documentation order.
@@ -39,13 +41,13 @@ BACKENDS = ("auto", "object", "array", "exact")
 
 
 def resolve_backend(backend: str, design, ir_proxy=None) -> str:
-    """Map a requested backend to a concrete one (``object|array|exact``).
+    """Map a requested exchange backend to a concrete one (``object|array|exact``).
 
-    ``auto`` picks ``array`` for large supply-routed designs (>=
-    ``ARRAY_BACKEND_THRESHOLD`` nets) when NumPy is importable and no
-    custom ``ir_proxy`` is injected; everything else stays on ``object``.
-    Explicitly requesting ``array`` with a custom ``ir_proxy`` is an
-    error — the kernel hard-codes the paper's compact gap-spread proxy.
+    ``auto`` picks ``array`` at every design size when NumPy is importable
+    and no custom ``ir_proxy`` is injected; a custom proxy stays on
+    ``object``, the only backend that supports one.  Explicitly requesting
+    ``array`` with a custom ``ir_proxy`` is an error — the kernel
+    hard-codes the paper's compact gap-spread proxy.
     """
     if backend not in BACKENDS:
         raise ExchangeError(
@@ -62,11 +64,7 @@ def resolve_backend(backend: str, design, ir_proxy=None) -> str:
         return "array"
     if backend != "auto":
         return backend
-    if (
-        HAVE_NUMPY
-        and ir_proxy is None
-        and design.total_net_count >= ARRAY_BACKEND_THRESHOLD
-    ):
+    if HAVE_NUMPY and ir_proxy is None:
         return "array"
     return "object"
 

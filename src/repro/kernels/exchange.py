@@ -19,8 +19,14 @@ Eq.-3 ingredient incrementally:
 * **bonding term (omega)** — tier bitmasks per finger group; a swap only
   re-ORs the (at most) two groups it straddles, O(psi).
 * **wirelength guard** (optional) — per-net flyline lengths recomputed
-  from static finger/via coordinates, four ``hypot`` calls per move, with
-  a periodic vectorized resync to keep float accumulation below 1e-12.
+  from the quadrant's static :class:`~repro.routing.wirelength.FlylineTables`,
+  four ``hypot`` calls per move, with a periodic vectorized resync to keep
+  float accumulation below 1e-12.
+
+The kernel is the production exchange at every design size and reports
+for itself: :meth:`ArrayExchangeKernel.breakdown` returns the Eq.-3 terms
+keyed like ``ExchangeCost.breakdown`` and :attr:`ArrayExchangeKernel.omega`
+the bonding metric, both in O(1) apart from the exact wirelength resync.
 
 Move proposal replicates :class:`~repro.exchange.moves.MoveGenerator`
 call-for-call (same candidate ordering, same ``rng`` consumption, same
@@ -45,6 +51,7 @@ from ..exchange.bonding import omega_of_design
 from ..exchange.cost import CostWeights
 from ..package import NetType
 from ..power import compact_ir_cost, supply_pad_fractions
+from ..routing.wirelength import flyline_tables
 from .state import SideArrays, build_side_arrays
 
 #: How many swaps between vectorized wirelength resyncs (float-drift guard;
@@ -112,13 +119,6 @@ class ArrayExchangeKernel:
         self._ir_initial = max(raw, 1e-12)
         self._omega_initial = max(omega_of_design(baseline_assignments, self.psi), 1)
         self._track_wl = self.weights.wirelength > 0
-        self._wl_initial = 1.0
-        if self._track_wl:
-            from ..routing.wirelength import total_flyline_length_of_design
-
-            self._wl_initial = max(
-                total_flyline_length_of_design(baseline_assignments), 1e-12
-            )
 
         # -- flat state, one block per side in design ring order
         self.sides: List[SideArrays] = []
@@ -149,8 +149,13 @@ class ArrayExchangeKernel:
                     continue
                 self._candidates.append((q, index))
 
+        # The wirelength normalizer is the vectorized flyline total that
+        # measure() reports, not the exact model's per-net sum (they agree
+        # to ~1e-15 relative).
+        self._wl_initial = 1.0
         if self._track_wl:
-            self._build_wirelength_tables()
+            self._flylines = [flyline_tables(arrays.quadrant) for arrays in self.sides]
+            self._wl_initial = max(self._exact_wirelength(), 1e-12)
         #: Observability counters (read by the exchanger's ``kernel.stats``
         #: telemetry event): total ``_swap`` calls and wirelength resyncs.
         self.swap_count = 0
@@ -244,37 +249,6 @@ class ArrayExchangeKernel:
             total += int(zeros.sum())
         self._omega_total = total
 
-    def _build_wirelength_tables(self) -> None:
-        self._finger_x: List[np.ndarray] = []
-        self._finger_y: List[float] = []
-        self._via_x: List[np.ndarray] = []
-        self._via_y: List[np.ndarray] = []
-        self._wl_base: List[np.ndarray] = []
-        for arrays in self.sides:
-            quadrant = arrays.quadrant
-            fingers = quadrant.fingers
-            self._finger_x.append(
-                np.array(
-                    [
-                        fingers.slot_position(slot).x
-                        for slot in range(1, arrays.slot_count + 1)
-                    ]
-                )
-            )
-            self._finger_y.append(fingers.y)
-            vx = np.empty(arrays.slot_count)
-            vy = np.empty(arrays.slot_count)
-            base = np.empty(arrays.slot_count)
-            for index, net in enumerate(arrays.quadrant.netlist):
-                via = quadrant.bumps.via_position(net.id)
-                ball = quadrant.bumps.ball_position(net.id)
-                vx[index] = via.x
-                vy[index] = via.y
-                base[index] = via.euclidean(ball)
-            self._via_x.append(vx)
-            self._via_y.append(vy)
-            self._wl_base.append(base)
-
     # -- annealer interface ---------------------------------------------------
 
     def propose(self, rng: random.Random) -> Optional[Tuple[int, int]]:
@@ -323,6 +297,35 @@ class ArrayExchangeKernel:
         if self._track_wl:
             total += self.weights.wirelength * (self._wl_total / self._wl_initial)
         return total
+
+    def breakdown(self) -> Dict[str, float]:
+        """Per-term Eq.-3 values, keyed like ``ExchangeCost.breakdown``.
+
+        The wirelength term is recomputed exactly rather than read from the
+        drifting accumulator, so the report is a pure function of the
+        current orders.
+        """
+        weights = self.weights
+        raw = sum(self._sumsq)
+        result = {
+            "ir": raw / self._ring_sq / self._ir_initial,
+            "density": float(self._max_delta),
+        }
+        total = weights.ir * result["ir"]
+        total += weights.density * result["density"]
+        if self.psi > 1:
+            result["bonding"] = self._omega_total / self._omega_initial
+            total += weights.bonding * result["bonding"]
+        if self._track_wl:
+            result["wirelength"] = self._exact_wirelength() / self._wl_initial
+            total += weights.wirelength * result["wirelength"]
+        result["total"] = total
+        return result
+
+    @property
+    def omega(self) -> int:
+        """Bonding-wire omega of the current state (0 for 2-D ICs)."""
+        return self._omega_total if self.psi > 1 else 0
 
     def snapshot(self) -> List[np.ndarray]:
         """Cheap copy of the current per-side slot->net arrays."""
@@ -497,21 +500,20 @@ class ArrayExchangeKernel:
 
     def _flyline(self, q: int, net: int, slot: int) -> float:
         # math.hypot, matching Point.euclidean bit for bit
+        tables = self._flylines[q]
         return (
             math.hypot(
-                float(self._finger_x[q][slot]) - float(self._via_x[q][net]),
-                self._finger_y[q] - float(self._via_y[q][net]),
+                float(tables.finger_x[slot]) - float(tables.via_x[net]),
+                tables.finger_y - float(tables.via_y[net]),
             )
-            + float(self._wl_base[q][net])
+            + float(tables.via_ball[net])
         )
 
     def _exact_wirelength(self) -> float:
+        """The vectorized flyline total of the current state (no drift)."""
         total = 0.0
-        for q, arrays in enumerate(self.sides):
-            slot_of_net = arrays.net_slot
-            dx = self._finger_x[q][slot_of_net] - self._via_x[q]
-            dy = self._finger_y[q] - self._via_y[q]
-            total += float(np.sum(np.hypot(dx, dy) + self._wl_base[q]))
+        for tables, arrays in zip(self._flylines, self.sides):
+            total += tables.total(arrays.net_slot)
         return total
 
     # -- zero-temperature polish ------------------------------------------------

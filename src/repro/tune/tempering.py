@@ -216,12 +216,11 @@ def _finalize(
     """Measure the winning chain's best configuration like ``codesign``.
 
     Rebuilds the kernel at the shared DFA baseline, restores the best
-    snapshot, applies the zero-temperature polish and reports through the
-    object model — the same discipline as
-    :meth:`FingerPadExchanger._run_array`.
+    snapshot, applies the zero-temperature polish and takes the Eq.-3
+    totals and omega from the kernel's own report — the same discipline
+    as :meth:`FingerPadExchanger._run_array`.
     """
     from ..assign import DFAAssigner, assign_design, check_legal
-    from ..exchange import CachedExchangeCost, omega_of_design
     from ..exchange.checkpoint import decode_arrays
     from ..flow.metrics import improvement_ratio, measure
     from ..kernels import ArrayExchangeKernel
@@ -233,9 +232,13 @@ def _finalize(
         DFAAssigner(), design, seed=int(base_params.get("assign_seed", 0))
     )
     kernel = ArrayExchangeKernel(design, baseline)
+    initial_cost = kernel.breakdown()["total"]
+    omega_before = kernel.omega
     kernel.restore(decode_arrays(state["best"]))
     if polish_passes:
         kernel.polish(polish_passes)
+    final_cost = kernel.breakdown()["total"]
+    omega_after = kernel.omega
     after = kernel.assignments()
     for assignment in after.values():
         check_legal(assignment)
@@ -243,11 +246,6 @@ def _finalize(
     grid_config = PowerGridConfig(size=int(grid))
     metrics_initial = measure(design, baseline, grid_config=grid_config)
     metrics_final = measure(design, after, grid_config=grid_config)
-    cost = CachedExchangeCost(design, baseline)
-    psi = design.stacking.tier_count
-    omega_before = omega_of_design(baseline, psi)
-    omega_after = omega_of_design(after, psi)
-    breakdown_after = cost.breakdown(after)
     proposed = int(state["proposed"])
     accepted = int(state["accepted"])
     return {
@@ -263,12 +261,12 @@ def _finalize(
         else 0.0,
         "max_ir_drop_initial": metrics_initial.max_ir_drop,
         "max_ir_drop_final": metrics_final.max_ir_drop,
-        "final_cost": breakdown_after["total"],
+        "final_cost": final_cost,
         "sa": {
             "proposed": proposed,
             "accepted": accepted,
             "acceptance_ratio": accepted / proposed if proposed else 0.0,
-            "initial_cost": cost.breakdown(baseline)["total"],
+            "initial_cost": initial_cost,
             "best_cost": float(state["best_cost"]),
         },
     }

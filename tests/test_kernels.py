@@ -27,6 +27,7 @@ from repro.exchange import (
     FingerPadExchanger,
     MoveGenerator,
     SAParams,
+    omega_of_design,
 )
 from repro.exchange.annealer import SimulatedAnnealer
 from repro.kernels import (
@@ -115,10 +116,10 @@ class TestTraceParity:
         assert trace_o == trace_a
         assert final_o == final_a
         assert stats_o.accepted == stats_a.accepted
-        # (accepted_uphill is NOT asserted: a move whose true delta is
-        # exactly zero may register as +1e-16 "uphill" in one backend's
-        # float arithmetic and 0.0 in the other's; accept decisions and
-        # traces still agree, which is the contract.)
+        # A move whose true delta is exactly zero may read +1e-16 in one
+        # backend's float arithmetic and 0.0 in the other's; the annealer
+        # counts neither as uphill.
+        assert stats_o.accepted_uphill == stats_a.accepted_uphill
         assert stats_o.best_snapshot == kernel.orders(stats_a.best_snapshot)
         assert stats_o.best_cost == pytest.approx(stats_a.best_cost, rel=1e-9)
 
@@ -162,6 +163,60 @@ class TestExchangerParity:
         assert {s: a.order for s, a in result_o.after.items()} == {
             s: a.order for s, a in result_a.after.items()
         }
+
+
+class TestKernelReport:
+    """The kernel's own breakdown and omega against the exact model."""
+
+    @staticmethod
+    def assert_matches_exact(design, result, weights=None):
+        exact = ExchangeCost(design, result.before, weights=weights)
+        psi = design.stacking.tier_count
+        for assignments, reported in (
+            (result.before, result.cost_breakdown_before),
+            (result.after, result.cost_breakdown_after),
+        ):
+            expected = exact.breakdown(assignments)
+            assert set(reported) == set(expected)
+            for key, value in expected.items():
+                assert reported[key] == pytest.approx(value, rel=1e-9, abs=1e-9)
+        assert result.omega_before == omega_of_design(result.before, psi)
+        assert result.omega_after == omega_of_design(result.after, psi)
+
+    @pytest.mark.parametrize("tiers,index", ALL_CONFIGS)
+    def test_before_and_after_match_exact(self, tiers, index):
+        design = circuit_design(index, tiers)
+        baseline = assign_design(DFAAssigner(), design)
+        result = FingerPadExchanger(design, params=FAST_SA).run(baseline, seed=9)
+        self.assert_matches_exact(design, result)
+
+    def test_with_wirelength_guard(self):
+        design = circuit_design(2, 4)
+        baseline = assign_design(RandomAssigner(), design, seed=3)
+        weights = CostWeights(wirelength=0.5)
+        result = FingerPadExchanger(
+            design, weights=weights, params=FAST_SA
+        ).run(baseline, seed=9)
+        self.assert_matches_exact(design, result, weights=weights)
+
+    def test_wirelength_term_is_exact_not_accumulated(self):
+        """The report's wirelength term is the resync, not the accumulator."""
+        design = circuit_design(1, 1)
+        baseline = assign_design(DFAAssigner(), design)
+        kernel = ArrayExchangeKernel(
+            design, baseline, weights=CostWeights(wirelength=1.0)
+        )
+        assert kernel.breakdown()["wirelength"] == 1.0
+        rng = random.Random(2)
+        for __ in range(40):
+            move = kernel.propose(rng)
+            if move is not None:
+                kernel.apply(move)
+        drifting = kernel._wl_total
+        kernel._wl_total += 1.0  # corrupt the accumulator only
+        assert kernel.breakdown()["wirelength"] == pytest.approx(
+            drifting / kernel._wl_initial, rel=1e-12
+        )
 
 
 class TestDeltaExactness:
@@ -284,19 +339,22 @@ class TestBackendResolution:
         assert resolve_backend("array", design) == "array"
         assert resolve_backend("exact", design) == "exact"
 
-    def test_auto_picks_by_size(self):
+    def test_auto_is_array_at_every_size(self):
+        tiny = build_design(CircuitSpec(name="tiny", finger_count=16), seed=0)
         small = circuit_design(1, 1)
         assert small.total_net_count < ARRAY_BACKEND_THRESHOLD
-        assert resolve_backend("auto", small) == "object"
         big = build_design(
             CircuitSpec(name="big", finger_count=ARRAY_BACKEND_THRESHOLD), seed=0
         )
-        assert resolve_backend("auto", big) == "array"
+        for design in (tiny, small, big):
+            assert resolve_backend("auto", design) == "array"
+            assert FingerPadExchanger(design).backend == "array"
 
     def test_custom_ir_proxy_stays_on_object(self):
         design = circuit_design(1, 1)
         proxy = lambda fractions: 1.0  # noqa: E731
         assert resolve_backend("auto", design, ir_proxy=proxy) == "object"
+        assert FingerPadExchanger(design, ir_proxy=proxy).backend == "object"
         with pytest.raises(ExchangeError):
             resolve_backend("array", design, ir_proxy=proxy)
 

@@ -139,6 +139,22 @@ class TestSpanTree:
         assert not report.codes("warning")
 
 
+class TestExchangeSpanCoverage:
+    def test_flow_exchange_untracked_under_5pct(self):
+        """Every part of the exchange finish runs inside a named child span."""
+        from repro import api
+        from repro.circuits import CircuitSpec, build_design
+
+        design = build_design(CircuitSpec(name="cover", finger_count=1792), seed=0)
+        telemetry = Telemetry()
+        api.run(design, seed=0, telemetry=telemetry)
+        tree = build_span_tree(telemetry.events)
+        (exchange,) = [node for node in tree.walk() if node.name == "flow.exchange"]
+        children = {child.name for child in exchange.children}
+        assert {"kernel.build", "sa.anneal", "kernel.polish", "exchange.report"} <= children
+        assert exchange.self_seconds < 0.05 * exchange.seconds
+
+
 class TestSpanPrimitives:
     def test_span_nests_and_stamps(self):
         telemetry = Telemetry()

@@ -164,6 +164,63 @@ class TestWirelength:
         assert dfa_length <= sum(random_lengths) / len(random_lengths)
 
 
+def _per_net_total(assignments):
+    """The object-model reference: every net's flyline, one at a time."""
+    return sum(total_flyline_length(a) for a in assignments.values())
+
+
+class TestVectorizedFlyline:
+    """``total_flyline_length_of_design`` against the per-net object sum."""
+
+    @pytest.mark.parametrize("index", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("tiers", [1, 4])
+    def test_table1_circuits(self, index, tiers):
+        from repro.circuits import build_design, table1_circuit
+
+        design = build_design(table1_circuit(index, tier_count=tiers), seed=0)
+        for assignments in (
+            assign_design(DFAAssigner(), design),
+            assign_design(RandomAssigner(), design, seed=index),
+        ):
+            reference = _per_net_total(assignments)
+            assert total_flyline_length_of_design(assignments) == pytest.approx(
+                reference, rel=1e-12
+            )
+
+    def test_fuzz_edge_pool_designs(self):
+        """Designs with missing sides and one-net sides from the fuzz pools."""
+        from repro.errors import ReproError
+        from repro.fuzz.gen import generate_cases
+
+        missing_sides = one_net_sides = 0
+        for case in generate_cases(120, seed=0):
+            design = case.build_design()
+            try:
+                assignments = assign_design(RandomAssigner(), design, seed=1)
+            except ReproError:
+                continue
+            missing_sides += len(design.quadrants) < 4
+            one_net_sides += min(q.net_count for q in design.quadrants.values()) == 1
+            reference = _per_net_total(assignments)
+            assert total_flyline_length_of_design(assignments) == pytest.approx(
+                reference, rel=1e-12
+            )
+        assert missing_sides and one_net_sides
+
+    def test_tables_are_built_once_per_quadrant(self, small_design):
+        from repro.routing.wirelength import flyline_tables
+
+        quadrant = next(iter(small_design.quadrants.values()))
+        assert flyline_tables(quadrant) is flyline_tables(quadrant)
+
+    def test_fig5_quadrant(self, fig5):
+        for order in (FIG5_DFA_ORDER, FIG5_RANDOM_ORDER):
+            assignment = Assignment(fig5, order)
+            assert total_flyline_length_of_design(
+                {fig5.side: assignment}
+            ) == pytest.approx(total_flyline_length(assignment), rel=1e-12)
+
+
 class TestDesignLevel:
     def test_route_design_and_aggregates(self, small_design):
         assignments = assign_design(DFAAssigner(), small_design)
