@@ -21,6 +21,9 @@ Also runnable without pytest as a CI smoke::
 
 which runs the mid-size point only, asserts the array pipeline is >= 2x
 the object pipeline end-to-end and exits non-zero otherwise (< 30 s).
+
+Registered with the perf ledger (``repro bench run --only pipeline``):
+``ledger_metrics`` times the array path at 16,384 fingers.
 """
 
 from __future__ import annotations
@@ -143,6 +146,33 @@ def write_record(rows) -> None:
             "object_cap": OBJECT_CAP,
         },
     )
+
+
+#: Perf-ledger point (``repro bench run``): the array path only, at a size
+#: ``make bench-ledger`` affords, timed cold (fresh design, so the lazily
+#: built per-quadrant tables are paid for) and reported as the median of
+#: ``LEDGER_REPEATS`` runs.
+LEDGER_COUNT = 16384
+LEDGER_REPEATS = 3
+LEDGER_SEED = 0
+LEDGER_GATED = {f"array_ms_{LEDGER_COUNT}": "lower"}
+
+
+def ledger_metrics() -> dict:
+    config = PowerGridConfig(size=GRID_SIZE)
+    maps = _current_maps(config)
+    spec = CircuitSpec(name=f"pipeline{LEDGER_COUNT}", finger_count=LEDGER_COUNT)
+    times = []
+    for _ in range(LEDGER_REPEATS):
+        design = build_design(spec, seed=LEDGER_SEED)
+        start = time.perf_counter()
+        density, drops = run_pipeline(design, config, maps, "array")
+        times.append((time.perf_counter() - start) * 1000.0)
+    return {
+        f"array_ms_{LEDGER_COUNT}": round(float(np.median(times)), 3),
+        f"density_{LEDGER_COUNT}": float(density),
+        f"max_drop_{LEDGER_COUNT}": max(drops),
+    }
 
 
 def test_pipeline_e2e(benchmark, record_result):

@@ -12,7 +12,10 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
+import numpy as np
+
 from ..errors import LegalityError
+from ..package import quadrant_tables
 from .base import Assignment
 
 
@@ -39,7 +42,15 @@ def is_legal(assignment: Assignment) -> bool:
 
 
 def check_legal(assignment: Assignment) -> None:
-    """Raise :class:`LegalityError` when *assignment* is illegal."""
+    """Raise :class:`LegalityError` when *assignment* is illegal.
+
+    Screens every bump row on the quadrant's cached arrays (slots must rise
+    along the ball order); only an illegal order pays for :func:`row_violations`.
+    """
+    tables = quadrant_tables(assignment.quadrant)
+    net_slot = tables.net_slots(assignment.order)
+    if all((np.diff(net_slot[nets]) > 0).all() for nets in tables.row_nets):
+        return
     violations = row_violations(assignment)
     if violations:
         row, left, right = violations[0]

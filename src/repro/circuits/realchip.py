@@ -185,15 +185,6 @@ def optimized_plan(
     return exchanger.run(assignments, seed=seed).after
 
 
-def _side_offset(design: PackageDesign, side) -> int:
-    offset = 0
-    for ring_side in design.sides:
-        if ring_side is side:
-            return offset
-        offset += design.quadrants[ring_side].net_count
-    raise ValueError(f"side {side} not in design")
-
-
 def fd_descent_plan(
     design: PackageDesign,
     assignments: Dict,

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from ..exchange import omega_of_design
+from ..obs.spans import span
 from ..package import NetType, PackageDesign
 from ..power import IRDropAnalyzer, PowerGridConfig
 from ..routing import max_density_of_design, total_flyline_length_of_design
@@ -43,15 +44,22 @@ def measure(
     Table 2 only needs density and wirelength.  ``backend`` is the staged
     convention and currently steers the density estimator; the IR solve
     always takes the factor-once path and the wirelength always the
-    vectorized flyline routine over each quadrant's cached
-    :class:`~repro.routing.wirelength.FlylineTables`.
+    vectorized flyline routine.  Density, legality, wirelength and the
+    supply-pad mapping read one cached per-quadrant table
+    (:class:`~repro.package.QuadrantTables`).  The stages run in the
+    ``measure.density``, ``measure.wirelength`` and ``measure.ir`` spans.
     """
-    density = max_density_of_design(assignments, backend=backend)
-    wirelength = total_flyline_length_of_design(assignments)
+    with span("measure.density"):
+        density = max_density_of_design(assignments, backend=backend)
+    with span("measure.wirelength"):
+        wirelength = total_flyline_length_of_design(assignments)
     ir_drop = None
     if with_ir:
-        analyzer = IRDropAnalyzer(design, grid_config=grid_config, net_type=net_type)
-        ir_drop = analyzer.max_drop(assignments)
+        with span("measure.ir"):
+            analyzer = IRDropAnalyzer(
+                design, grid_config=grid_config, net_type=net_type
+            )
+            ir_drop = analyzer.max_drop(assignments)
     psi = design.stacking.tier_count
     omega = omega_of_design(assignments, psi) if psi > 1 else None
     return DesignMetrics(

@@ -10,7 +10,8 @@ minimized result lands verbatim in the JSON corpus under
 
 :class:`CaseGenerator` draws from *edge pools* instead of uniform ranges —
 single-net sides, all-power/all-signal quadrants, 1–8 die tiers with
-ψ-group remainders, extreme aspect ratios and duplicate adjacent pitches —
+ψ-group remainders, extreme aspect ratios, duplicate adjacent pitches and
+net ids spread far beyond the net count —
 because the paper's Table-1 circuits only ever exercise the comfortable
 middle of each parameter.  Every draw comes from one ``random.Random``
 seeded by the caller, so case *i* of seed *s* is the same forever.
@@ -42,6 +43,9 @@ _BALL_POOL = (0.2, 1.2, 1.2, 8.0)
 _COOLING_POOL = (0.5, 0.7, 0.9)
 _MOVES_POOL = (1, 2, 4, 8)
 _WEIGHT_POOL = (0.0, 0.5, 1.0, 3.0)
+#: Net-id stride: 3 leaves gaps a dense id table still covers; 1000 spreads
+#: ids far beyond the net count, like a hand-written or JSON-loaded design.
+_ID_STRIDE_POOL = (1, 1, 1, 1, 1, 1, 3, 1000)
 
 
 @dataclass(frozen=True)
@@ -56,11 +60,14 @@ class FuzzCase:
     split_networks: bool = False
     track_all_rows: bool = True
     wl_resync_interval: Optional[int] = None
+    #: spreads and reverses the generated net ids, so netlist order is not
+    #: id order (see ``build_design``)
+    id_stride: int = 1
 
     # -- identity ----------------------------------------------------------
 
     def to_json(self) -> dict:
-        return {
+        payload = {
             "spec": dict(self.spec),
             "design_seed": self.design_seed,
             "run_seed": self.run_seed,
@@ -70,6 +77,9 @@ class FuzzCase:
             "track_all_rows": self.track_all_rows,
             "wl_resync_interval": self.wl_resync_interval,
         }
+        if self.id_stride != 1:  # contiguous-id cases keep their old digests
+            payload["id_stride"] = self.id_stride
+        return payload
 
     @classmethod
     def from_json(cls, payload: dict) -> "FuzzCase":
@@ -82,6 +92,7 @@ class FuzzCase:
             split_networks=bool(payload.get("split_networks", False)),
             track_all_rows=bool(payload.get("track_all_rows", True)),
             wl_resync_interval=payload.get("wl_resync_interval"),
+            id_stride=int(payload.get("id_stride", 1)),
         )
 
     def digest(self) -> str:
@@ -103,7 +114,19 @@ class FuzzCase:
     def build_design(self):
         from ..circuits import build_design
 
-        return build_design(self.build_spec(), seed=self.design_seed)
+        design = build_design(self.build_spec(), seed=self.design_seed)
+        if self.id_stride == 1:
+            return design
+        from ..io.jsonio import design_from_dict, design_to_dict
+
+        top = design.total_net_count - 1
+        payload = design_to_dict(design)
+        for quadrant in payload["quadrants"].values():
+            rows = quadrant["rows"]
+            quadrant["rows"] = [[(top - i) * self.id_stride for i in r] for r in rows]
+            for net in quadrant["nets"]:
+                net["id"] = (top - net["id"]) * self.id_stride
+        return design_from_dict(payload)
 
     def sa_params(self):
         from ..exchange import SAParams
@@ -209,6 +232,7 @@ class CaseGenerator:
             split_networks=rng.random() < 0.3,
             track_all_rows=rng.random() < 0.8,
             wl_resync_interval=wl_resync,
+            id_stride=rng.choice(_ID_STRIDE_POOL),
         )
 
     def _fallback(self, rng: random.Random) -> FuzzCase:

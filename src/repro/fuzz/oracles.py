@@ -15,7 +15,13 @@ Oracles
 ``legality``
     Every emitted assignment — Random, IFA, DFA — must satisfy the
     monotonic rule *and* route through the real
-    :class:`~repro.routing.MonotonicRouter`.
+    :class:`~repro.routing.MonotonicRouter`; the vectorized
+    ``check_legal`` must agree with the ``row_violations`` reference on
+    it and on a copy broken by one same-row swap.
+``pad_map_parity``
+    The vectorized supply-pad fractions and grid nodes must equal, bit
+    for bit, the per-pad reference (``PackageDesign.ring_position`` and a
+    ``boundary_ring`` lookup per pad).
 ``assign_parity`` / ``density_parity`` / ``irsolve_parity``
     Staged-kernel differentials: object IFA/DFA vs the array assignment
     kernels (order- and error-identical), the object density walk vs the
@@ -43,6 +49,7 @@ Oracles
 from __future__ import annotations
 
 import math
+import random
 import tempfile
 from typing import Callable, Dict, List
 
@@ -112,6 +119,7 @@ def oracle_legality(case: FuzzCase) -> List[str]:
 
     design = _build_design(case)
     router = MonotonicRouter()
+    rng = random.Random(case.run_seed)
     problems: List[str] = []
     for name, assigner in (
         ("Random", RandomAssigner()),
@@ -138,6 +146,90 @@ def oracle_legality(case: FuzzCase) -> List[str]:
                     f"{name} {side.value}: emitted assignment does not "
                     f"route monotonically: {type(exc).__name__}: {exc}"
                 )
+            problems.extend(
+                f"{name} {side.value}: {problem}"
+                for problem in _legality_parity(assignment, rng)
+            )
+    return problems
+
+
+def _legality_parity(assignment, rng: random.Random) -> List[str]:
+    """Vectorized ``check_legal`` vs the ``row_violations`` reference, on
+    the order and on a copy broken by swapping two same-row neighbours."""
+    from ..assign import check_legal, row_violations
+    from ..errors import LegalityError
+
+    quadrant = assignment.quadrant
+    candidates = [assignment]
+    rows = [row for row in range(1, quadrant.row_count + 1)
+            if quadrant.bumps.row_size(row) > 1]
+    if rows:
+        nets = quadrant.row_nets(rng.choice(rows))
+        k = rng.randrange(len(nets) - 1)
+        broken = assignment.copy()
+        broken.swap_slots(broken.slot_of(nets[k]), broken.slot_of(nets[k + 1]))
+        candidates.append(broken)
+    problems = []
+    for label, candidate in zip(("order", "same-row swap"), candidates):
+        try:
+            check_legal(candidate)
+            raised = False
+        except LegalityError:
+            raised = True
+        if raised != bool(row_violations(candidate)):
+            problems.append(f"{label}: check_legal and row_violations disagree")
+    return problems
+
+
+# -- pad mapping -----------------------------------------------------------
+
+
+def _reference_pad_fractions(design, assignments, net_type) -> List[float]:
+    """Supply-pad ring fractions, one ``PackageDesign.ring_position`` per pad."""
+    return [
+        design.ring_position(side, assignments[side].slot_of(net.id))
+        for side, quadrant in design
+        for net in quadrant.netlist
+        if (net.net_type.is_supply if net_type is None else net.net_type is net_type)
+    ]
+
+
+def _reference_pad_nodes(design, assignments, grid_config, net_type) -> List[tuple]:
+    """Supply-pad grid nodes, one ``boundary_ring`` lookup per pad."""
+    ring = grid_config.boundary_ring()
+    return [
+        ring[min(int(fraction % 1.0 * len(ring)), len(ring) - 1)]
+        for fraction in _reference_pad_fractions(design, assignments, net_type)
+    ]
+
+
+def oracle_pad_map_parity(case: FuzzCase) -> List[str]:
+    """Vectorized pad fractions and grid nodes ``==`` the per-pad reference."""
+    from ..assign import RandomAssigner
+    from ..errors import PowerModelError
+    from ..package import NetType
+    from ..power import PowerGridConfig, pad_nodes_for_grid, supply_pad_fractions
+
+    design = _build_design(case)
+    try:
+        assignments = assign_design(RandomAssigner(), design, seed=case.run_seed)
+    except ReproError as exc:
+        raise SkippedCase(f"{type(exc).__name__}: {exc}") from exc
+    problems: List[str] = []
+    for net_type in (NetType.POWER, NetType.GROUND, None):
+        expected = _reference_pad_fractions(design, assignments, net_type)
+        try:
+            got = supply_pad_fractions(design, assignments, net_type=net_type)
+        except PowerModelError:
+            got = []
+        if got != expected:
+            problems.append(f"{net_type}: pad fractions differ from the reference")
+        for size in (2, 7, 8 + case.run_seed % 89) if expected else ():
+            grid = PowerGridConfig(size=size)
+            if pad_nodes_for_grid(design, assignments, grid, net_type=net_type) != (
+                _reference_pad_nodes(design, assignments, grid, net_type)
+            ):
+                problems.append(f"{net_type}: grid-{size} pad nodes differ")
     return problems
 
 
@@ -640,6 +732,7 @@ def oracle_serve(case: FuzzCase) -> List[str]:
 ORACLES: Dict[str, Callable[[FuzzCase], List[str]]] = {
     "density": oracle_density,
     "legality": oracle_legality,
+    "pad_map_parity": oracle_pad_map_parity,
     "assign_parity": oracle_assign_parity,
     "density_parity": oracle_density_parity,
     "irsolve_parity": oracle_irsolve_parity,

@@ -63,6 +63,8 @@ def _candidates(case: FuzzCase) -> Iterator[FuzzCase]:
         yield replace(case, track_all_rows=True)
     if case.wl_resync_interval is not None:
         yield replace(case, wl_resync_interval=None)
+    if case.id_stride != 1:
+        yield replace(case, id_stride=1)
     if case.weights:
         yield replace(case, weights={})
         for key in list(case.weights):

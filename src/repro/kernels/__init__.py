@@ -23,13 +23,11 @@ Stage kernels:
 from __future__ import annotations
 
 from ..errors import ExchangeError
-
-try:  # numpy is a hard dependency of the repo, but stay importable without it
-    import numpy  # noqa: F401
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - exercised only on stripped installs
-    HAVE_NUMPY = False
+from .assign import dfa_order, ifa_order
+from .density import max_density_of_order
+from .exchange import WL_RESYNC_INTERVAL, ArrayExchangeKernel
+from .irsolve import GridFactorization, factorize_grid
+from .state import SideArrays, WatchedRow, build_side_arrays, row_run_counts
 
 #: Stages touching at least this many elements default to the array
 #: backend under ``backend="auto"`` (assignment and density only; the
@@ -43,9 +41,9 @@ BACKENDS = ("auto", "object", "array", "exact")
 def resolve_backend(backend: str, design, ir_proxy=None) -> str:
     """Map a requested exchange backend to a concrete one (``object|array|exact``).
 
-    ``auto`` picks ``array`` at every design size when NumPy is importable
-    and no custom ``ir_proxy`` is injected; a custom proxy stays on
-    ``object``, the only backend that supports one.  Explicitly requesting
+    ``auto`` picks ``array`` at every design size unless a custom
+    ``ir_proxy`` is injected; a custom proxy stays on ``object``, the only
+    backend that supports one.  Explicitly requesting
     ``array`` with a custom ``ir_proxy`` is an error — the kernel
     hard-codes the paper's compact gap-spread proxy.
     """
@@ -54,8 +52,6 @@ def resolve_backend(backend: str, design, ir_proxy=None) -> str:
             f"unknown backend {backend!r}; expected one of {', '.join(BACKENDS)}"
         )
     if backend == "array":
-        if not HAVE_NUMPY:
-            raise ExchangeError("backend='array' requires numpy")
         if ir_proxy is not None:
             raise ExchangeError(
                 "backend='array' does not support a custom ir_proxy; "
@@ -64,66 +60,43 @@ def resolve_backend(backend: str, design, ir_proxy=None) -> str:
         return "array"
     if backend != "auto":
         return backend
-    if HAVE_NUMPY and ir_proxy is None:
-        return "array"
-    return "object"
+    return "array" if ir_proxy is None else "object"
 
 
 def resolve_stage_backend(backend: str, size: int) -> str:
     """Per-stage ``backend=`` policy for assignment and density estimation.
 
     Returns ``"object"`` or ``"array"``.  ``auto`` picks ``array`` for
-    stages touching at least ``ARRAY_BACKEND_THRESHOLD`` elements (nets)
-    when NumPy is importable; ``"exact"`` — meaningful only to the
-    exchange cost machinery — degrades to ``"object"`` so one flow-level
-    ``backend=`` keyword can drive every stage.
+    stages touching at least ``ARRAY_BACKEND_THRESHOLD`` elements (nets);
+    ``"exact"`` — meaningful only to the exchange cost machinery —
+    degrades to ``"object"`` so one flow-level ``backend=`` keyword can
+    drive every stage.
     """
     if backend not in BACKENDS:
         raise ExchangeError(
             f"unknown backend {backend!r}; expected one of {', '.join(BACKENDS)}"
         )
-    if backend == "array":
-        if not HAVE_NUMPY:
-            raise ExchangeError("backend='array' requires numpy")
-        return "array"
     if backend in ("object", "exact"):
         return "object"
-    if HAVE_NUMPY and size >= ARRAY_BACKEND_THRESHOLD:
+    if backend == "array" or size >= ARRAY_BACKEND_THRESHOLD:
         return "array"
     return "object"
 
 
-if HAVE_NUMPY:
-    from .assign import dfa_order, ifa_order
-    from .density import design_max_density, max_density_of_order
-    from .exchange import WL_RESYNC_INTERVAL, ArrayExchangeKernel
-    from .irsolve import GridFactorization, factorize_grid
-    from .state import SideArrays, WatchedRow, build_side_arrays, row_run_counts
-
-    __all__ = [
-        "ARRAY_BACKEND_THRESHOLD",
-        "BACKENDS",
-        "HAVE_NUMPY",
-        "resolve_backend",
-        "resolve_stage_backend",
-        "ArrayExchangeKernel",
-        "WL_RESYNC_INTERVAL",
-        "SideArrays",
-        "WatchedRow",
-        "build_side_arrays",
-        "row_run_counts",
-        "dfa_order",
-        "ifa_order",
-        "design_max_density",
-        "max_density_of_order",
-        "GridFactorization",
-        "factorize_grid",
-    ]
-else:  # pragma: no cover
-    __all__ = [
-        "ARRAY_BACKEND_THRESHOLD",
-        "BACKENDS",
-        "HAVE_NUMPY",
-        "resolve_backend",
-        "resolve_stage_backend",
-    ]
+__all__ = [
+    "ARRAY_BACKEND_THRESHOLD",
+    "BACKENDS",
+    "resolve_backend",
+    "resolve_stage_backend",
+    "ArrayExchangeKernel",
+    "WL_RESYNC_INTERVAL",
+    "SideArrays",
+    "WatchedRow",
+    "build_side_arrays",
+    "row_run_counts",
+    "dfa_order",
+    "ifa_order",
+    "max_density_of_order",
+    "GridFactorization",
+    "factorize_grid",
+]

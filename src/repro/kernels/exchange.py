@@ -19,9 +19,9 @@ Eq.-3 ingredient incrementally:
 * **bonding term (omega)** — tier bitmasks per finger group; a swap only
   re-ORs the (at most) two groups it straddles, O(psi).
 * **wirelength guard** (optional) — per-net flyline lengths recomputed
-  from the quadrant's static :class:`~repro.routing.wirelength.FlylineTables`,
-  four ``hypot`` calls per move, with a periodic vectorized resync to keep
-  float accumulation below 1e-12.
+  from the flyline geometry of the quadrant's static
+  :class:`~repro.package.QuadrantTables`, four ``hypot`` calls per move,
+  with a periodic vectorized resync to keep float accumulation below 1e-12.
 
 The kernel is the production exchange at every design size and reports
 for itself: :meth:`ArrayExchangeKernel.breakdown` returns the Eq.-3 terms
@@ -51,7 +51,6 @@ from ..exchange.bonding import omega_of_design
 from ..exchange.cost import CostWeights
 from ..package import NetType
 from ..power import compact_ir_cost, supply_pad_fractions
-from ..routing.wirelength import flyline_tables
 from .state import SideArrays, build_side_arrays
 
 #: How many swaps between vectorized wirelength resyncs (float-drift guard;
@@ -144,17 +143,15 @@ class ArrayExchangeKernel:
         # (side, net) pairs in design order, supply-only for 2-D ICs
         self._candidates: List[Tuple[int, int]] = []
         for q, arrays in enumerate(self.sides):
-            for index, net in enumerate(arrays.quadrant.netlist):
-                if power_only and not net.net_type.is_supply:
-                    continue
-                self._candidates.append((q, index))
+            supply = arrays.tables.type_nets[None]
+            nets = supply if power_only else range(arrays.slot_count)
+            self._candidates.extend((q, int(index)) for index in nets)
 
         # The wirelength normalizer is the vectorized flyline total that
         # measure() reports, not the exact model's per-net sum (they agree
         # to ~1e-15 relative).
         self._wl_initial = 1.0
         if self._track_wl:
-            self._flylines = [flyline_tables(arrays.quadrant) for arrays in self.sides]
             self._wl_initial = max(self._exact_wirelength(), 1e-12)
         #: Observability counters (read by the exchanger's ``kernel.stats``
         #: telemetry event): total ``_swap`` calls and wirelength resyncs.
@@ -409,7 +406,7 @@ class ArrayExchangeKernel:
             via, leftward = net_b, False
         base = int(arrays.net_run_base[via])
         if base >= 0:
-            k = base + int(arrays.via_index[via])
+            k = base + int(arrays.tables.via_index[via])
             if leftward:
                 # via sat left; the passing wire moved from run k+1 to run k
                 self._bump_run(k, 1)
@@ -500,7 +497,7 @@ class ArrayExchangeKernel:
 
     def _flyline(self, q: int, net: int, slot: int) -> float:
         # math.hypot, matching Point.euclidean bit for bit
-        tables = self._flylines[q]
+        tables = self.sides[q].tables
         return (
             math.hypot(
                 float(tables.finger_x[slot]) - float(tables.via_x[net]),
@@ -512,8 +509,8 @@ class ArrayExchangeKernel:
     def _exact_wirelength(self) -> float:
         """The vectorized flyline total of the current state (no drift)."""
         total = 0.0
-        for tables, arrays in zip(self._flylines, self.sides):
-            total += tables.total(arrays.net_slot)
+        for arrays in self.sides:
+            total += arrays.tables.flyline_total(arrays.net_slot)
         return total
 
     # -- zero-temperature polish ------------------------------------------------
@@ -550,7 +547,7 @@ class ArrayExchangeKernel:
         """``{side: [net ids in slot order]}`` of a snapshot (or the state)."""
         slots = snapshot if snapshot is not None else [a.slot_net for a in self.sides]
         return {
-            arrays.side: [int(net_id) for net_id in arrays.net_ids[slot_net]]
+            arrays.side: [int(net_id) for net_id in arrays.tables.net_ids[slot_net]]
             for arrays, slot_net in zip(self.sides, slots)
         }
 

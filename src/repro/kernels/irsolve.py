@@ -19,10 +19,7 @@ work honestly:
     1e-9 (``irsolve_parity`` oracle, hypothesis property in
     ``tests/test_power_grid.py``).
 
-The primary factorization is ``scipy.sparse.linalg.splu``; when scipy is
-absent a pure-NumPy banded Cholesky takes over (the reduced system is SPD
-with bandwidth <= G under the natural node order, so lower-banded storage
-is exact, not an approximation).
+The factorization is ``scipy.sparse.linalg.splu``.
 """
 
 from __future__ import annotations
@@ -30,74 +27,12 @@ from __future__ import annotations
 from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
+from scipy.sparse import csc_matrix
+from scipy.sparse.linalg import splu
 
-from ..errors import PowerModelError
 from ..power.grid import PowerGridConfig
 
-try:  # pragma: no cover - exercised via both lanes in tests
-    from scipy.sparse import csc_matrix
-    from scipy.sparse.linalg import splu
-
-    HAVE_SCIPY = True
-except ImportError:  # pragma: no cover
-    HAVE_SCIPY = False
-
-__all__ = ["GridFactorization", "factorize_grid", "HAVE_SCIPY"]
-
-
-def _validated_pads(
-    config: PowerGridConfig, pad_nodes: Iterable[Tuple[int, int]]
-) -> List[Tuple[int, int]]:
-    g = config.size
-    pads = sorted(set((int(x), int(y)) for x, y in pad_nodes))
-    if not pads:
-        raise PowerModelError("at least one power pad node is required")
-    for x, y in pads:
-        if not (0 <= x < g and 0 <= y < g):
-            raise PowerModelError(f"pad node ({x},{y}) outside {g}x{g} grid")
-    return pads
-
-
-class _BandedCholesky:
-    """Lower-banded Cholesky of an SPD matrix (scipy-free fallback).
-
-    ``band[i, j]`` stores ``A[j + i, j]`` for ``0 <= i <= bandwidth``.
-    Factor cost is O(n * b^2); each solve is two O(n * b) substitutions.
-    """
-
-    def __init__(self, band: np.ndarray) -> None:
-        band = band.astype(np.float64, copy=True)
-        width, n = band.shape
-        b = width - 1
-        for j in range(n):
-            pivot = band[0, j]
-            if pivot <= 0.0:
-                raise PowerModelError("grid system is not positive definite")
-            root = np.sqrt(pivot)
-            band[0, j] = root
-            m = min(b, n - 1 - j)
-            if m:
-                band[1 : m + 1, j] /= root
-                for k in range(1, m + 1):
-                    band[: m - k + 1, j + k] -= band[k, j] * band[k : m + 1, j]
-        self._band = band
-        self._n = n
-        self._b = b
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        band, n, b = self._band, self._n, self._b
-        x = rhs.astype(np.float64, copy=True)
-        for j in range(n):  # forward: L y = rhs
-            x[j] /= band[0, j]
-            m = min(b, n - 1 - j)
-            if m:
-                x[j + 1 : j + m + 1] -= band[1 : m + 1, j] * x[j]
-        for j in range(n - 1, -1, -1):  # backward: L^T x = y
-            m = min(b, n - 1 - j)
-            if m:
-                x[j] -= band[1 : m + 1, j] @ x[j + 1 : j + m + 1]
-            x[j] /= band[0, j]
-        return x
+__all__ = ["GridFactorization", "factorize_grid"]
 
 
 class GridFactorization:
@@ -117,7 +52,7 @@ class GridFactorization:
         #: Injection map used when ``solve()`` gets none; ``FDSolver.factorize``
         #: points this at the owning solver's ``current_map``.
         self.default_current_map: Optional[np.ndarray] = None
-        self.pad_nodes = _validated_pads(config, pad_nodes)
+        self.pad_nodes = config.checked_pads(pad_nodes)
         g = config.size
         pad_flat = np.zeros(g * g, dtype=bool)
         for x, y in self.pad_nodes:
@@ -164,39 +99,24 @@ class GridFactorization:
         vals = np.concatenate(val_parts)
         self._dirichlet = dirichlet
 
-        if HAVE_SCIPY:
-            matrix = csc_matrix(
+        matrix = csc_matrix(
+            (
+                np.concatenate([vals, diagonal]),
                 (
-                    np.concatenate([vals, diagonal]),
-                    (
-                        np.concatenate([rows, all_rows]),
-                        np.concatenate([cols, all_rows]),
-                    ),
+                    np.concatenate([rows, all_rows]),
+                    np.concatenate([cols, all_rows]),
                 ),
-                shape=(n, n),
-            )
-            self._lu = splu(matrix)
-        else:
-            lower = rows > cols
-            width = int((rows[lower] - cols[lower]).max()) + 1 if lower.any() else 1
-            band = np.zeros((width, n))
-            band[0, :] = diagonal
-            band[rows[lower] - cols[lower], cols[lower]] = vals[lower]
-            self._lu = _BandedCholesky(band)
+            ),
+            shape=(n, n),
+        )
+        self._lu = splu(matrix)
 
     def _rhs(self, current_map: Optional[np.ndarray]) -> np.ndarray:
         config = self.config
         if current_map is None:
             rhs = np.full(self.unknown_count, -config.j0)
         else:
-            current_map = np.asarray(current_map, dtype=float)
-            expected = (config.size, config.size)
-            if current_map.shape != expected:
-                raise PowerModelError(
-                    f"current map shape {current_map.shape} != grid {expected}"
-                )
-            if (current_map < 0).any():
-                raise PowerModelError("current map entries must be >= 0")
+            current_map = config.checked_current_map(current_map)
             rhs = -current_map.reshape(-1)[self._unknown_ids]
         return rhs + self._dirichlet
 

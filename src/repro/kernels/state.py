@@ -5,23 +5,23 @@ dict-keyed: every hot-loop query pays a hash lookup and an attribute chase.
 This module flattens one design side into contiguous NumPy int arrays —
 net ids, ball rows, tiers, supply classes, slot<->net permutations and the
 static section bookkeeping of Eq. 2 — so the exchange kernel can answer
-every per-move question with O(1) array indexing.
+every per-move question with O(1) array indexing.  Static arrays come from
+the quadrant's cached :class:`~repro.package.QuadrantTables`.
 
 Net *indices* (0-based positions in the quadrant's netlist) replace net ids
-everywhere inside the kernel; ``net_ids`` maps back out at the boundary.
+everywhere inside the kernel; ``tables.net_ids`` maps back out at the boundary.
 Slots are 0-based internally (the object model is 1-based).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import List
 
 import numpy as np
 
-from ..errors import ExchangeError
 from ..geometry import Side
-from ..package import NetType, Quadrant
+from ..package import NetType, Quadrant, QuadrantTables, quadrant_tables
 
 
 @dataclass(frozen=True)
@@ -51,16 +51,14 @@ class SideArrays:
 
     side: Side
     quadrant: Quadrant
-    #: net id by net index (netlist order)
-    net_ids: np.ndarray
-    #: ball row by net index (1 = outermost)
+    #: the quadrant's static arrays (net ids, via indices, ...; read-only)
+    tables: QuadrantTables
+    #: ball row by net index (1 = outermost; ``tables.rows``)
     rows: np.ndarray
     #: die tier by net index (stacking ICs)
     tiers: np.ndarray
     #: IR network class by net index (-1 = untracked)
     supply_class: np.ndarray
-    #: position of each net within its own ball row (its via index)
-    via_index: np.ndarray
     #: run-delta offset of the net's own row, -1 when the row is unwatched
     net_run_base: np.ndarray
     #: global ring index of this side's slot 0 (slot s maps to offset + s + 1)
@@ -74,25 +72,6 @@ class SideArrays:
     @property
     def slot_count(self) -> int:
         return len(self.slot_net)
-
-
-def _class_of(net, net_type, split_networks: bool) -> int:
-    """IR network class of one net under the cost configuration.
-
-    Mirrors ``CachedExchangeCost``'s fraction collection: with
-    ``split_networks`` POWER is class 0 and GROUND class 1; with
-    ``net_type=None`` every supply net lands in class 0; otherwise only the
-    requested network is tracked.
-    """
-    if split_networks:
-        if net.net_type is NetType.POWER:
-            return 0
-        if net.net_type is NetType.GROUND:
-            return 1
-        return -1
-    if net_type is None:
-        return 0 if net.net_type.is_supply else -1
-    return 0 if net.net_type is net_type else -1
 
 
 def watched_rows_of(quadrant: Quadrant, all_rows: bool) -> List[int]:
@@ -117,32 +96,22 @@ def build_side_arrays(
     array; the side claims one contiguous block per watched row.
     """
     quadrant = design.quadrants[side]
-    netlist = list(quadrant.netlist)
-    count = len(netlist)
-    id_to_index: Dict[int, int] = {net.id: k for k, net in enumerate(netlist)}
-    if len(id_to_index) != count:
-        raise ExchangeError(f"{side.value}: duplicate net ids in netlist")
-
-    net_ids = np.fromiter((net.id for net in netlist), dtype=np.int64, count=count)
-    rows = np.fromiter(
-        (quadrant.ball_row(net.id) for net in netlist), dtype=np.int64, count=count
+    tables = quadrant_tables(quadrant)
+    count = quadrant.net_count
+    tiers = np.fromiter(
+        (net.tier for net in quadrant.netlist), dtype=np.int64, count=count
     )
-    tiers = np.fromiter((net.tier for net in netlist), dtype=np.int64, count=count)
-    supply_class = np.fromiter(
-        (_class_of(net, net_type, split_networks) for net in netlist),
-        dtype=np.int64,
-        count=count,
-    )
+    # IR network class, mirroring CachedExchangeCost's fraction collection:
+    # with split_networks POWER is class 0 and GROUND class 1; otherwise the
+    # requested network (every supply net for net_type=None) is class 0.
+    supply_class = np.full(count, -1, dtype=np.int64)
+    if split_networks:
+        supply_class[tables.type_nets[NetType.POWER]] = 0
+        supply_class[tables.type_nets[NetType.GROUND]] = 1
+    else:
+        supply_class[tables.type_nets[net_type]] = 0
 
-    via_index = np.zeros(count, dtype=np.int64)
-    for row in range(1, quadrant.row_count + 1):
-        for position, net_id in enumerate(quadrant.row_nets(row)):
-            via_index[id_to_index[net_id]] = position
-
-    order = assignment.order
-    slot_net = np.fromiter(
-        (id_to_index[net_id] for net_id in order), dtype=np.int64, count=count
-    )
+    slot_net = tables.indices(assignment.order)
     net_slot = np.empty(count, dtype=np.int64)
     net_slot[slot_net] = np.arange(count, dtype=np.int64)
 
@@ -156,11 +125,9 @@ def build_side_arrays(
     net_run_base = np.full(count, -1, dtype=np.int64)
     watched: List[WatchedRow] = []
     next_base = run_base
+    rows = tables.rows
     for row in watched_rows_of(quadrant, all_rows):
-        via_nets = np.fromiter(
-            (id_to_index[net_id] for net_id in quadrant.row_nets(row)),
-            dtype=np.int64,
-        )
+        via_nets = tables.row_nets[row - 1]
         counts = row_run_counts(net_slot, rows, via_nets, row)
         watched.append(
             WatchedRow(
@@ -176,11 +143,10 @@ def build_side_arrays(
     return SideArrays(
         side=side,
         quadrant=quadrant,
-        net_ids=net_ids,
+        tables=tables,
         rows=rows,
         tiers=tiers,
         supply_class=supply_class,
-        via_index=via_index,
         net_run_base=net_run_base,
         ring_offset=offset,
         slot_net=slot_net,

@@ -6,6 +6,7 @@ from .finger import FingerRow
 from .net import Net, NetList, NetType
 from .quadrant import Quadrant, quadrant_from_rows
 from .stacking import StackingConfig, assign_tiers_round_robin, bonding_wire_crossings
+from .tables import QuadrantTables, quadrant_tables
 from .validate import DRCReport, DRCViolation, check_design
 
 __all__ = [
@@ -21,8 +22,10 @@ __all__ = [
     "PackageDesign",
     "PackageTechnology",
     "Quadrant",
+    "QuadrantTables",
     "StackingConfig",
     "bonding_wire_crossings",
     "assign_tiers_round_robin",
     "quadrant_from_rows",
+    "quadrant_tables",
 ]

@@ -21,7 +21,6 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import spsolve
 
-from ..errors import PowerModelError
 from .grid import PowerGridConfig
 
 
@@ -68,14 +67,7 @@ class FDSolver:
     def __init__(self, config: PowerGridConfig, current_map=None) -> None:
         self.config = config
         if current_map is not None:
-            current_map = np.asarray(current_map, dtype=float)
-            expected = (config.size, config.size)
-            if current_map.shape != expected:
-                raise PowerModelError(
-                    f"current map shape {current_map.shape} != grid {expected}"
-                )
-            if (current_map < 0).any():
-                raise PowerModelError("current map entries must be >= 0")
+            current_map = config.checked_current_map(current_map)
         self.current_map = current_map
         self._factorizations: dict = {}
 
@@ -120,13 +112,7 @@ class FDSolver:
         """Reference object-path solve (Python-loop assembly + spsolve)."""
         config = self.config
         g = config.size
-        pads = sorted(set(tuple(node) for node in pad_nodes))
-        if not pads:
-            raise PowerModelError("at least one power pad node is required")
-        for x, y in pads:
-            if not (0 <= x < g and 0 <= y < g):
-                raise PowerModelError(f"pad node ({x},{y}) outside {g}x{g} grid")
-
+        pads = config.checked_pads(pad_nodes)
         pad_set = set(pads)
         unknown_index = {}
         for x in range(g):
@@ -184,5 +170,4 @@ class FDSolver:
 
     def solve_fractions(self, fractions: Sequence[float]) -> IRDropResult:
         """Solve with pads given as perimeter fractions in ``[0, 1)``."""
-        nodes = [self.config.ring_node(fraction) for fraction in fractions]
-        return self.factorize(nodes).solve()
+        return self.factorize(self.config.ring_nodes(fractions)).solve()

@@ -11,7 +11,10 @@ one interior node of this grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from functools import lru_cache
+from typing import Iterable, List, Sequence, Tuple
+
+import numpy as np
 
 from ..errors import PowerModelError
 
@@ -49,9 +52,28 @@ class PowerGridConfig:
         if self.j0 < 0:
             raise PowerModelError(f"current density must be >= 0, got {self.j0}")
 
-    @property
-    def node_count(self) -> int:
-        return self.size * self.size
+    def checked_pads(self, pad_nodes: Iterable[Tuple[int, int]]) -> List[Tuple]:
+        """Sorted distinct pad nodes; refuses an empty set or an off-grid node."""
+        g = self.size
+        pads = sorted(set((int(x), int(y)) for x, y in pad_nodes))
+        if not pads:
+            raise PowerModelError("at least one power pad node is required")
+        for x, y in pads:
+            if not (0 <= x < g and 0 <= y < g):
+                raise PowerModelError(f"pad node ({x},{y}) outside {g}x{g} grid")
+        return pads
+
+    def checked_current_map(self, current_map) -> np.ndarray:
+        """*current_map* as a ``(G, G)`` float array of non-negative draws."""
+        current_map = np.asarray(current_map, dtype=float)
+        expected = (self.size, self.size)
+        if current_map.shape != expected:
+            raise PowerModelError(
+                f"current map shape {current_map.shape} != grid {expected}"
+            )
+        if (current_map < 0).any():
+            raise PowerModelError("current map entries must be >= 0")
+        return current_map
 
     def boundary_ring(self) -> List[Tuple[int, int]]:
         """Boundary nodes in ring order starting at the bottom-left corner.
@@ -69,10 +91,23 @@ class PowerGridConfig:
         ring.extend((0, y) for y in range(g - 1, 0, -1))
         return ring
 
+    def ring_nodes(self, fractions: Sequence[float]) -> List[Tuple[int, int]]:
+        """Boundary node of every perimeter fraction in ``[0, 1)``, in order."""
+        fractions = np.asarray(fractions, dtype=float)
+        outside = ~((0.0 <= fractions) & (fractions < 1.0 + 1e-12))
+        if outside.any():
+            fraction = float(fractions[outside][0])
+            raise PowerModelError(f"ring fraction {fraction} outside [0, 1)")
+        ring = _ring_array(self.size)
+        index = (fractions % 1.0 * len(ring)).astype(np.int64)
+        return [tuple(node) for node in ring[np.minimum(index, len(ring) - 1)].tolist()]
+
     def ring_node(self, fraction: float) -> Tuple[int, int]:
         """Boundary node at perimeter *fraction* in ``[0, 1)``."""
-        if not (0.0 <= fraction < 1.0 + 1e-12):
-            raise PowerModelError(f"ring fraction {fraction} outside [0, 1)")
-        ring = self.boundary_ring()
-        index = int(fraction % 1.0 * len(ring))
-        return ring[min(index, len(ring) - 1)]
+        return self.ring_nodes([fraction])[0]
+
+
+@lru_cache(maxsize=64)
+def _ring_array(size: int) -> np.ndarray:
+    """:meth:`PowerGridConfig.boundary_ring` of a size-*size* grid as an array."""
+    return np.array(PowerGridConfig(size=size).boundary_ring(), dtype=np.int64)

@@ -4,15 +4,18 @@ The paper assumes the finger order and the chip pad order are identical
 (section 2.1), so a net's finger slot directly determines where its chip pad
 sits on the die periphery.  This module extracts the perimeter positions of
 the supply pads from a design plus its per-quadrant assignments — the input
-both IR-drop models consume.
+both IR-drop models consume — one array expression per side over the
+quadrant's cached :class:`~repro.package.QuadrantTables`.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+import numpy as np
+
 from ..errors import PowerModelError
-from ..package import NetType, PackageDesign
+from ..package import NetType, PackageDesign, quadrant_tables
 
 
 def supply_pad_fractions(
@@ -33,25 +36,25 @@ def supply_pad_fractions(
         grid the paper analyzes), ``NetType.GROUND`` for the VSS grid, or
         ``None`` for both networks together.
     """
-    fractions: List[float] = []
+    ring_slots = design.ring_slot_count()
+    parts = []
+    offset = 0
     for side, quadrant in design:
         if side not in assignments:
             raise PowerModelError(f"no assignment supplied for side {side.value}")
-        assignment = assignments[side]
-        for net in quadrant.netlist:
-            if net_type is None:
-                wanted = net.net_type.is_supply
-            else:
-                wanted = net.net_type is net_type
-            if wanted:
-                slot = assignment.slot_of(net.id)
-                fractions.append(design.ring_position(side, slot))
-    if not fractions:
+        tables = quadrant_tables(quadrant)
+        supply = tables.type_nets[net_type]
+        if len(supply):
+            net_slot = tables.net_slots(assignments[side].order)
+            # PackageDesign.ring_position's (offset + slot - 0.5) / N, 1-based
+            parts.append((offset + net_slot[supply] + 0.5) / ring_slots)
+        offset += quadrant.net_count
+    if not parts:
         raise PowerModelError(
             "design has no supply pads of the requested type; "
             "mark some nets as POWER/GROUND"
         )
-    return fractions
+    return np.concatenate(parts).tolist()
 
 
 def pad_nodes_for_grid(
@@ -62,4 +65,4 @@ def pad_nodes_for_grid(
 ) -> List[tuple]:
     """Grid boundary nodes of the supply pads for the FD solver."""
     fractions = supply_pad_fractions(design, assignments, net_type=net_type)
-    return [grid_config.ring_node(fraction) for fraction in fractions]
+    return grid_config.ring_nodes(fractions)

@@ -65,11 +65,6 @@ class DensityMap:
             return 0
         return max(run.density for run in self.runs)
 
-    @property
-    def total_crossings(self) -> int:
-        """Total wire-line crossings — a smoothness indicator."""
-        return sum(run.wire_count for run in self.runs)
-
     def hotspots(self) -> List[RunDensity]:
         """The run(s) achieving the maximum density (the congested region)."""
         peak = self.max_density
@@ -142,13 +137,11 @@ def max_density(
     structure on flat int arrays (:mod:`repro.kernels.density`) and is
     value-identical — densities are integer counts.
     """
-    from ..kernels import resolve_stage_backend
+    from ..kernels import max_density_of_order, resolve_stage_backend
 
     if resolve_stage_backend(backend, assignment.slot_count) == "array":
         if validate:
             check_legal(assignment)
-        from ..kernels import max_density_of_order
-
         return max_density_of_order(assignment.quadrant, assignment.order)
     return density_map(assignment, validate=validate).max_density
 

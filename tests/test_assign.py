@@ -1,5 +1,6 @@
 """Unit tests for the assignment algorithms, including the paper's examples."""
 
+import random
 from repro.assign import assign_design
 import pytest
 from hypothesis import given, settings
@@ -93,6 +94,34 @@ class TestLegality:
         assert row_violations(assignment)
         with pytest.raises(LegalityError):
             check_legal(assignment)
+
+    def test_check_legal_agrees_with_row_violations(self, fig5):
+        legal = Assignment(fig5, FIG5_DFA_ORDER)
+        check_legal(legal)
+        # break every same-row neighbour pair of a legal order in turn
+        for row in range(1, fig5.row_count + 1):
+            nets = fig5.row_nets(row)
+            for left, right in zip(nets, nets[1:]):
+                broken = legal.copy()
+                broken.swap_slots(broken.slot_of(left), broken.slot_of(right))
+                violations = row_violations(broken)
+                first_row, first_left, __ = violations[0]
+                with pytest.raises(LegalityError) as excinfo:
+                    check_legal(broken)
+                message = str(excinfo.value)
+                assert f"on row {first_row}: net {first_left} " in message
+                assert f"{len(violations)} violation(s) total" in message
+        rng = random.Random(0)
+        for _ in range(200):
+            order = [net.id for net in fig5.netlist]
+            rng.shuffle(order)
+            assignment = Assignment(fig5, order)
+            try:
+                check_legal(assignment)
+                raised = False
+            except LegalityError:
+                raised = True
+            assert raised == bool(row_violations(assignment))
 
     def test_swap_is_legal_same_row(self, fig5):
         # order ..., 6, 9 adjacent would be same-row: craft one

@@ -155,6 +155,37 @@ class TestExchangeSpanCoverage:
         assert exchange.self_seconds < 0.05 * exchange.seconds
 
 
+class TestMeasureSpanCoverage:
+    @pytest.fixture(scope="class")
+    def tree(self):
+        from repro import api
+        from repro.circuits import CircuitSpec, build_design
+
+        design = build_design(CircuitSpec(name="cover", finger_count=1792), seed=0)
+        telemetry = Telemetry()
+        api.run(design, seed=0, telemetry=telemetry)
+        return build_span_tree(telemetry.events)
+
+    def test_flow_measure_untracked_under_5pct(self, tree):
+        """Both measurements of a run spend their time in named stages."""
+        (measure,) = [node for node in tree.walk() if node.name == "flow.measure"]
+        names = [child.name for child in measure.children]
+        assert sorted(names) == sorted(
+            ["measure.density", "measure.wirelength", "measure.ir"] * 2
+        )
+        assert measure.self_seconds < 0.05 * measure.seconds
+
+    def test_api_run_root_untracked_under_5pct(self, tree):
+        """Outside the named stages, the root and the flow do next to nothing."""
+        (root,) = tree.roots
+        assert root.name == "api.run"
+        (flow,) = root.children
+        assert {child.name for child in flow.children} == {
+            "flow.assign", "flow.exchange", "flow.measure"
+        }
+        assert root.self_seconds + flow.self_seconds < 0.05 * root.seconds
+
+
 class TestSpanPrimitives:
     def test_span_nests_and_stamps(self):
         telemetry = Telemetry()

@@ -35,6 +35,23 @@ class TestPowerGridConfig:
         with pytest.raises(PowerModelError):
             config.ring_node(1.5)
 
+    def test_ring_nodes_is_the_scalar_map_per_fraction(self):
+        config = PowerGridConfig(size=7)
+        ring = config.boundary_ring()
+        fractions = [0.0, 0.1, 0.5, 0.999999, 1.0 + 1e-13] + [
+            (k + 0.5) / 97 for k in range(97)
+        ]
+        expected = [
+            ring[min(int(f % 1.0 * len(ring)), len(ring) - 1)] for f in fractions
+        ]
+        assert config.ring_nodes(fractions) == expected
+        assert config.ring_nodes([]) == []
+
+    @pytest.mark.parametrize("bad", [-0.1, 1.5, float("nan")])
+    def test_ring_nodes_rejects_fractions_off_the_ring(self, bad):
+        with pytest.raises(PowerModelError, match="outside"):
+            PowerGridConfig(size=7).ring_nodes([0.25, bad])
+
 
 class TestFDSolver:
     def test_requires_pads(self):

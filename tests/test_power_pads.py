@@ -3,8 +3,10 @@
 from repro.assign import assign_design
 import pytest
 
-from repro.assign import DFAAssigner, RandomAssigner
+from repro.assign import DFAAssigner, IFAAssigner, RandomAssigner
+from repro.circuits import CircuitSpec, build_design, table1_circuit
 from repro.errors import PowerModelError
+from repro.fuzz.oracles import _reference_pad_fractions, _reference_pad_nodes
 from repro.package import NetType
 from repro.power import (
     IRDropAnalyzer,
@@ -12,6 +14,85 @@ from repro.power import (
     pad_nodes_for_grid,
     supply_pad_fractions,
 )
+
+NET_TYPES = (NetType.POWER, NetType.GROUND, None)
+GRID_SIZES = (2, 7, 32, 96)
+
+
+#: Table-1 circuits 1-5 at psi 1 and 4, plus one 16,384-finger design.
+EXACT_SPECS = [
+    table1_circuit(circuit, tier_count=psi)
+    for circuit in range(1, 6)
+    for psi in (1, 4)
+] + [CircuitSpec(name="synth16384", finger_count=16_384)]
+
+
+class TestExactPadMapping:
+    """The vectorized mapping equals the per-pad reference bit for bit."""
+
+    @pytest.mark.parametrize(
+        "spec", EXACT_SPECS, ids=[f"{s.name}-psi{s.tier_count}" for s in EXACT_SPECS]
+    )
+    def test_fractions_and_nodes_equal_reference(self, spec):
+        design = build_design(spec, seed=0)
+        for assigner in (DFAAssigner(), RandomAssigner()):
+            assignments = assign_design(assigner, design, seed=1)
+            for net_type in NET_TYPES:
+                fractions = supply_pad_fractions(design, assignments, net_type=net_type)
+                assert fractions == _reference_pad_fractions(
+                    design, assignments, net_type
+                )
+                for size in GRID_SIZES:
+                    grid = PowerGridConfig(size=size)
+                    nodes = pad_nodes_for_grid(
+                        design, assignments, grid, net_type=net_type
+                    )
+                    assert nodes == _reference_pad_nodes(
+                        design, assignments, grid, net_type
+                    )
+
+    def test_sparse_ids_equal_reference(self):
+        from repro.fuzz.gen import FuzzCase
+        from repro.package import quadrant_tables
+
+        case = FuzzCase(
+            spec={"name": "sparse", "finger_count": 96, "rows_per_quadrant": 3},
+            id_stride=1000,
+        )
+        design = case.build_design()
+        assert all(
+            quadrant_tables(q).index_of_id is None for q in design.quadrants.values()
+        )
+        assignments = assign_design(IFAAssigner(), design)
+        for net_type in NET_TYPES:
+            grid = PowerGridConfig(size=7)
+            assert supply_pad_fractions(
+                design, assignments, net_type=net_type
+            ) == _reference_pad_fractions(design, assignments, net_type)
+            assert pad_nodes_for_grid(
+                design, assignments, grid, net_type=net_type
+            ) == _reference_pad_nodes(design, assignments, grid, net_type)
+
+    def test_no_supply_pads_rejected(self):
+        design = build_design(
+            CircuitSpec(name="nosupply", finger_count=16, supply_fraction=0.0),
+            seed=0,
+        )
+        assignments = assign_design(DFAAssigner(), design)
+        for net_type in NET_TYPES:
+            with pytest.raises(PowerModelError, match="no supply pads"):
+                supply_pad_fractions(design, assignments, net_type=net_type)
+            with pytest.raises(PowerModelError, match="no supply pads"):
+                pad_nodes_for_grid(
+                    design, assignments, PowerGridConfig(size=7), net_type=net_type
+                )
+
+    def test_missing_side_rejected(self, small_design):
+        assignments = assign_design(DFAAssigner(), small_design)
+        last = small_design.sides[-1]
+        del assignments[last]
+        with pytest.raises(PowerModelError, match=f"side {last.value}"):
+            supply_pad_fractions(small_design, assignments)
 
 
 class TestSupplyPadFractions:

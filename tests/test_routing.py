@@ -208,10 +208,10 @@ class TestVectorizedFlyline:
         assert missing_sides and one_net_sides
 
     def test_tables_are_built_once_per_quadrant(self, small_design):
-        from repro.routing.wirelength import flyline_tables
+        from repro.package import quadrant_tables
 
         quadrant = next(iter(small_design.quadrants.values()))
-        assert flyline_tables(quadrant) is flyline_tables(quadrant)
+        assert quadrant_tables(quadrant) is quadrant_tables(quadrant)
 
     def test_fig5_quadrant(self, fig5):
         for order in (FIG5_DFA_ORDER, FIG5_RANDOM_ORDER):

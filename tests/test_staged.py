@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.api as api
-import repro.kernels.irsolve as irsolve_module
 from repro.assign import (
     Assignment,
     DFAAssigner,
@@ -153,14 +152,6 @@ class TestIRSolveKernel:
                 rtol=1e-9,
                 atol=1e-12,
             )
-
-    def test_banded_fallback_matches_scipy_path(self, monkeypatch):
-        reference = factorize_grid(self.GRID, self.PADS).solve()
-        monkeypatch.setattr(irsolve_module, "HAVE_SCIPY", False)
-        fallback = factorize_grid(self.GRID, self.PADS).solve()
-        np.testing.assert_allclose(
-            fallback.voltage, reference.voltage, rtol=1e-9, atol=1e-10
-        )
 
     def test_solver_factorization_cache(self):
         solver = FDSolver(self.GRID)
