@@ -2,7 +2,8 @@
 
 ``bench_kernel`` times the exchange inner loop in isolation; this bench
 times one full co-design *flow iteration* — assignment, density estimation
-and IR analysis over several current maps — on both backends and sweeps
+and IR analysis over several current maps — on the kernels and on the
+object-model references, and sweeps
 the design size to 100k+ fingers, far past the paper's largest circuit
 (448).  The array path runs the ``repro.kernels`` stage ports
 (``ifa_order``/``dfa_order``, ``max_density_of_order``) and the
@@ -38,7 +39,7 @@ from repro.assign import DFAAssigner, assign_design
 from repro.circuits import CircuitSpec, build_design
 from repro.power import FDSolver, PowerGridConfig
 from repro.power.pads import pad_nodes_for_grid
-from repro.routing import max_density_of_design
+from repro.routing import density_map, max_density_of_design
 
 FULL_COUNTS = (1024, 4096, 16384, 50176, 100352)
 SMOKE_COUNTS = (4096,)
@@ -66,12 +67,22 @@ def _current_maps(config: PowerGridConfig, seed: int = 0) -> list:
     return maps
 
 
-def run_pipeline(design, config, maps, backend: str):
-    """One flow iteration; returns (max_density, [max_drop...])."""
-    assignments = assign_design(DFAAssigner(), design, backend=backend)
-    density = max_density_of_design(assignments, backend=backend)
+def run_pipeline(design, config, maps, path: str):
+    """One flow iteration on *path*; returns (max_density, [max_drop...]).
+
+    ``"array"`` is the production path.  ``"object"`` calls the references
+    directly: the assigner's own ``assign`` per quadrant, ``density_map``
+    and a fresh Python-loop FD assembly per current map.
+    """
+    if path == "array":
+        assignments = assign_design(DFAAssigner(), design)
+        density = max_density_of_design(assignments)
+    else:
+        assigner = DFAAssigner()
+        assignments = {side: assigner.assign(quadrant) for side, quadrant in design}
+        density = max(density_map(a).max_density for a in assignments.values())
     nodes = pad_nodes_for_grid(design, assignments, config, net_type=None)
-    if backend == "array":
+    if path == "array":
         factorization = FDSolver(config).factorize(nodes)
         drops = [factorization.solve(current).max_drop for current in maps]
     else:

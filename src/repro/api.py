@@ -8,7 +8,7 @@ keywords with the same meaning:
 
 ``seed=``
     One per-call integer seed; every stochastic stage derives from it.
-    Never stored on objects (``RandomAssigner(seed=...)`` is deprecated).
+    Never stored on objects.
 ``verify=``
     A :mod:`repro.verify` policy name: ``"off"`` (default), ``"strict"``,
     ``"repair"`` or ``"degrade"``.
@@ -16,12 +16,10 @@ keywords with the same meaning:
     ``None`` (inherit the ambient telemetry), a
     :class:`~repro.runtime.Telemetry`, or a path-like — which opens a
     JSONL trace at that path for the duration of the call.
-``backend=``
-    Pipeline kernel selection: ``"auto"`` (default), ``"object"``,
-    ``"array"`` or ``"exact"`` (see :mod:`repro.kernels`).  One keyword
-    drives every stage — SA exchange cost machinery, staged assignment
-    and density estimation (``"exact"`` only means something to the
-    exchange stage; others treat it as ``"object"``).
+
+Every stage runs its one production path, the array kernels of
+:mod:`repro.kernels`; only a custom exchange ``ir_proxy`` runs the object
+loop (see :class:`~repro.exchange.FingerPadExchanger`).
 
 Typical session::
 
@@ -84,7 +82,7 @@ class Assigner(Protocol):
 
     Design-level runs go through :func:`repro.assign.assign_design`
     (or :func:`assign` here), which owns the per-quadrant seed derivation
-    and the ``backend=`` dispatch onto the array kernels.
+    and runs the stock IFA/DFA on their array kernels.
     """
 
     def assign(self, quadrant, seed: Optional[int] = None):
@@ -204,8 +202,6 @@ class ExchangeOutcome:
 
     design: PackageDesign
     result: ExchangeResult
-    #: The backend that actually ran ("object" or "array").
-    backend: str
     seed: Optional[int] = None
 
     @property
@@ -247,7 +243,6 @@ class RunResult:
 
     design: PackageDesign
     result: CoDesignResult
-    backend: str
     seed: Optional[int] = None
     extra: Dict = field(default_factory=dict)
 
@@ -313,14 +308,13 @@ def assign(
     seed: Optional[int] = None,
     verify: str = "off",
     telemetry=None,
-    backend: str = "auto",
 ) -> AssignResult:
     """Step 1: congestion-driven finger/pad assignment (DFA by default)."""
     from .obs.spans import span
 
     assigner = _resolve_assigner(method)
     with _telemetry_scope(telemetry), span("api.assign", assigner=assigner.name):
-        assignments = _assign_design(assigner, design, seed=seed, backend=backend)
+        assignments = _assign_design(assigner, design, seed=seed)
         if verify != "off":
             from .verify import check_assignments, normalize
 
@@ -346,7 +340,6 @@ def exchange(
     seed: Optional[int] = None,
     verify: str = "off",
     telemetry=None,
-    backend: str = "auto",
 ) -> ExchangeOutcome:
     """Step 2: SA finger/pad exchange (Eq. 3) from an existing assignment."""
     from .exchange import FingerPadExchanger
@@ -357,9 +350,8 @@ def exchange(
         weights=weights,
         params=sa_params,
         net_type=net_type,
-        backend=backend,
     )
-    with _telemetry_scope(telemetry), span("api.exchange", backend=exchanger.backend):
+    with _telemetry_scope(telemetry), span("api.exchange"):
         result = exchanger.run(assignments, seed=seed)
         if verify != "off":
             from .verify import check_assignments, normalize
@@ -368,9 +360,7 @@ def exchange(
             check_assignments(
                 design, result.after, baseline=result.before
             ).raise_if_errors()
-    return ExchangeOutcome(
-        design=design, result=result, backend=exchanger.backend, seed=seed
-    )
+    return ExchangeOutcome(design=design, result=result, seed=seed)
 
 
 def evaluate(
@@ -381,7 +371,6 @@ def evaluate(
     net_type: Optional[NetType] = NetType.POWER,
     verify: str = "off",
     telemetry=None,
-    backend: str = "auto",
 ) -> EvaluateResult:
     """Measure an assignment: density, wirelength, omega and IR-drop."""
     from .obs.spans import span
@@ -398,7 +387,6 @@ def evaluate(
             grid_config=_resolve_grid(grid),
             with_ir=with_ir,
             net_type=net_type,
-            backend=backend,
         )
         if verify != "off" and with_ir:
             from .verify import check_power_values
@@ -419,7 +407,6 @@ def run(
     seed: Optional[int] = 0,
     verify: str = "off",
     telemetry=None,
-    backend: str = "auto",
 ) -> RunResult:
     """The whole two-step co-design flow (paper Fig. 1(B)) in one call.
 
@@ -433,17 +420,9 @@ def run(
         grid_config=_resolve_grid(grid),
         net_type=net_type,
         verify=verify,
-        backend=backend,
     )
     from .obs.spans import span
 
     with _telemetry_scope(telemetry), span("api.run"):
         result = flow.run(design, seed=seed)
-    from .kernels import resolve_backend
-
-    return RunResult(
-        design=design,
-        result=result,
-        backend=resolve_backend(backend, design),
-        seed=seed,
-    )
+    return RunResult(design=design, result=result, seed=seed)

@@ -103,7 +103,6 @@ def _run_workload(
     timeout=None,
     retries: int = 1,
     verify: str = "off",
-    backend: str = "auto",
     profile=None,
     tempering: int = 0,
     swap_stride: int = 2,
@@ -113,22 +112,12 @@ def _run_workload(
     from .obs.schema import SCHEMA_VERSION
     from .obs.spans import span
     from .runtime import JobEngine, JsonlSink, ResultCache, Telemetry
-    from .runtime.spec import JobSpec
     from .runtime.workloads import WORKLOADS
 
     workload = WORKLOADS[name]
     seed = workload.default_seed if seed is None else seed
     grid = workload.default_grid if grid is None else grid
     specs = workload.build(seed, grid)
-    if backend != "auto":
-        # Only exchange-running jobs understand the knob; leaving it out of
-        # the default params keeps established cache digests stable.
-        specs = [
-            JobSpec(spec.kind, dict(spec.params, backend=backend), seed=spec.seed)
-            if spec.kind == "codesign"
-            else spec
-            for spec in specs
-        ]
     # ExitStack owns the sink: however this function exits — success, a job
     # failure, or an exception anywhere below — the trace file is flushed
     # and closed exactly once (the pre-obs code leaked the handle when the
@@ -136,7 +125,7 @@ def _run_workload(
     with contextlib.ExitStack() as stack:
         sink = stack.enter_context(JsonlSink(trace)) if trace else None
         telemetry = Telemetry(sink=sink)
-        meta = {"workload": name, "jobs": jobs, "verify": verify, "backend": backend}
+        meta = {"workload": name, "jobs": jobs, "verify": verify}
         if seed is not None:
             meta["seed"] = seed
         if profile:
@@ -281,7 +270,6 @@ def _cmd_run(args) -> int:
         timeout=args.timeout,
         retries=args.retries,
         verify=args.verify,
-        backend=args.backend,
         profile=args.profile,
         tempering=args.tempering,
         swap_stride=args.swap_stride,
@@ -391,7 +379,6 @@ def _cmd_tune(args) -> int:
                         grid=grid,
                         seed=args.seed,
                         tiers=args.tiers,
-                        backend=args.backend,
                     )
         except _DrainSignal as exc:
             engine.close()
@@ -597,15 +584,12 @@ def _cmd_table3(args) -> int:
             grid=args.grid,
             jobs=args.jobs,
             verify=args.verify,
-            backend=args.backend,
         )
     from .circuits import build_design, table1_circuit
     from .flow import CoDesignFlow, render_table3
     from .power import PowerGridConfig
 
-    flow = CoDesignFlow(
-        grid_config=PowerGridConfig(size=args.grid), backend=args.backend
-    )
+    flow = CoDesignFlow(grid_config=PowerGridConfig(size=args.grid))
     results = {}
     for tiers in (1, 4):
         runs = {}
@@ -904,12 +888,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--retries", type=int, default=1, help="retry attempts for failing jobs"
     )
     prun.add_argument(
-        "--backend",
-        choices=("auto", "object", "array", "exact"),
-        default="auto",
-        help="exchange cost backend for codesign jobs (auto picks by size)",
-    )
-    prun.add_argument(
         "--profile",
         choices=("cprofile", "sample"),
         default=None,
@@ -990,12 +968,6 @@ def build_parser() -> argparse.ArgumentParser:
     ptu.add_argument(
         "--cache-dir", default=None,
         help="cache root (default: $REPRO_CACHE_DIR or ~/.cache/repro)",
-    )
-    ptu.add_argument(
-        "--backend",
-        choices=("auto", "object", "array", "exact"),
-        default="auto",
-        help="exchange cost backend for the swept anneals",
     )
     ptu.add_argument(
         "--out", default="results",
@@ -1125,12 +1097,6 @@ def build_parser() -> argparse.ArgumentParser:
     p3.add_argument("--seed", type=int, default=7)
     p3.add_argument("--grid", type=int, default=32, help="power grid size")
     p3.add_argument("--jobs", type=_positive_int, default=1, help="worker processes")
-    p3.add_argument(
-        "--backend",
-        choices=("auto", "object", "array", "exact"),
-        default="auto",
-        help="exchange cost backend (auto picks by design size)",
-    )
     _add_verify_flag(p3)
     p3.set_defaults(func=_cmd_table3)
 

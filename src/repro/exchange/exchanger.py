@@ -8,7 +8,6 @@ ICs) and keep the package density in check (Eq. 2's ID penalty).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
@@ -16,7 +15,7 @@ from ..assign import Assignment, check_legal
 from ..package import NetType, PackageDesign
 from .annealer import SAParams, SAStats, SimulatedAnnealer
 from .bonding import omega_of_design
-from .cost import CostWeights, ExchangeCost
+from .cost import CostWeights
 from .fastcost import CachedExchangeCost
 from .moves import MoveGenerator
 
@@ -44,24 +43,16 @@ class ExchangeResult:
 class FingerPadExchanger:
     """SA-driven exchange over a whole design (2-D and stacking ICs).
 
-    ``backend`` selects the cost/move machinery the anneal runs on:
-
-    ``"array"``
-        :class:`~repro.kernels.ArrayExchangeKernel` — the production path:
-        flat NumPy state with O(1) swap deltas, move-for-move identical to
-        ``"object"`` under a shared seed (proven by ``tests/test_kernels.py``).
-        The kernel also produces the before/after Eq.-3 breakdown and omega
-        of the :class:`ExchangeResult`.
-    ``"object"``
-        :class:`CachedExchangeCost` over ``Assignment`` objects — the
-        reference implementation and the only backend that supports a
-        custom ``ir_proxy``.
-    ``"exact"``
-        :class:`ExchangeCost` re-derived from scratch every move; only
-        useful for debugging the caches.
-    ``"auto"`` (default)
-        ``"array"`` at every design size, ``"object"`` when a custom
-        ``ir_proxy`` is given (see :func:`repro.kernels.resolve_backend`).
+    The anneal runs on :class:`~repro.kernels.ArrayExchangeKernel`: flat
+    NumPy state with O(1) swap deltas, which also writes the before/after
+    Eq.-3 breakdown and omega of the :class:`ExchangeResult`.  The kernel
+    hard-codes the paper's compact gap-spread IR proxy, so a custom
+    ``ir_proxy`` is the one input that selects the object loop instead:
+    :class:`CachedExchangeCost` over ``Assignment`` objects.  That loop is
+    also the reference the kernel is proven move-for-move identical to
+    under a shared seed (``tests/test_kernels.py``, the ``backends`` fuzz
+    oracle), which additionally runs it on the from-scratch
+    :class:`~repro.exchange.ExchangeCost`.
     """
 
     def __init__(
@@ -75,8 +66,6 @@ class FingerPadExchanger:
         track_all_rows: bool = True,
         split_networks: bool = False,
         polish_passes: int = 20,
-        backend: str = "auto",
-        incremental: Optional[bool] = None,
         wl_resync_interval: Optional[int] = None,
         checkpoint=None,
     ) -> None:
@@ -95,36 +84,19 @@ class FingerPadExchanger:
         self.track_all_rows = track_all_rows
         self.split_networks = split_networks
         self.polish_passes = polish_passes
-        #: Array-backend wirelength resync cadence override (None = the
-        #: kernel's default); the fuzzer pins tiny values so short anneals
-        #: still cross resync boundaries.
+        #: Kernel wirelength resync cadence override (None = the kernel's
+        #: default); the fuzzer pins tiny values so short anneals still
+        #: cross resync boundaries.
         self.wl_resync_interval = wl_resync_interval
         #: Optional :class:`~repro.exchange.checkpoint.SACheckpointer`:
         #: the anneal periodically persists its full state and resumes
-        #: bit-identically after a crash.  Array backend only — the object
-        #: backend's cost caches have no captured-state form.
+        #: bit-identically after a crash.  Kernel anneals only — the
+        #: object loop's cost caches have no captured-state form.
         self.checkpoint = checkpoint
-        if incremental is not None:
-            warnings.warn(
-                "FingerPadExchanger(incremental=...) is deprecated; pass "
-                "backend='object' (incremental caches) or backend='exact' "
-                "(from-scratch re-evaluation) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            backend = "object" if incremental else "exact"
-        from ..kernels import resolve_backend
-
-        self.backend = resolve_backend(backend, design, ir_proxy=ir_proxy)
-
-    @property
-    def incremental(self) -> bool:
-        """Deprecated alias kept for old callers: True unless ``exact``."""
-        return self.backend != "exact"
 
     def run(self, assignments: Dict, seed: Optional[int] = None) -> ExchangeResult:
         """Anneal from *assignments*; the input objects are not mutated."""
-        if self.backend == "array":
+        if self.ir_proxy is None:
             return self._run_array(assignments, seed)
         return self._run_object(assignments, seed)
 
@@ -165,7 +137,7 @@ class FingerPadExchanger:
                 checkpoint.run_key = self._checkpoint_run_key(kernel, seed)
         annealer = SimulatedAnnealer(self.params)
         anneal_started = time.perf_counter()
-        with span("sa.anneal", telemetry, backend="array"):
+        with span("sa.anneal", telemetry):
             stats = annealer.optimize(
                 propose=kernel.propose,
                 apply=kernel.apply,
@@ -244,19 +216,29 @@ class FingerPadExchanger:
         canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
-    def _run_object(self, assignments: Dict, seed: Optional[int]) -> ExchangeResult:
+    def _run_object(
+        self,
+        assignments: Dict,
+        seed: Optional[int],
+        cost_class=CachedExchangeCost,
+    ) -> ExchangeResult:
+        """Anneal on ``Assignment`` objects under *cost_class*.
+
+        The production path for a custom ``ir_proxy`` and the reference
+        for the kernel; parity checks pass ``ExchangeCost`` to
+        re-derive the cost from scratch on every move.
+        """
         if self.checkpoint is not None:
             from ..errors import ExchangeError
 
             raise ExchangeError(
-                "SA checkpointing requires backend='array'; the object "
-                "backend's cost caches have no captured-state form"
+                "SA checkpointing requires the array kernel, which a custom "
+                "ir_proxy rules out; the object loop's cost caches have no "
+                "captured-state form"
             )
         before = {side: assignment.copy() for side, assignment in assignments.items()}
         working = {side: assignment.copy() for side, assignment in assignments.items()}
 
-        incremental = self.backend == "object"
-        cost_class = CachedExchangeCost if incremental else ExchangeCost
         cost = cost_class(
             self.design,
             before,
@@ -266,6 +248,7 @@ class FingerPadExchanger:
             track_all_rows=self.track_all_rows,
             split_networks=self.split_networks,
         )
+        mark_dirty = getattr(cost, "mark_dirty", lambda side: None)
         moves = MoveGenerator(
             self.design, working, power_only=self.power_only
         )
@@ -276,19 +259,17 @@ class FingerPadExchanger:
 
         def apply(move) -> None:
             moves.apply(move)
-            if self.incremental:
-                cost.mark_dirty(move.side)
+            mark_dirty(move.side)
 
         def undo(move) -> None:
             moves.undo(move)
-            if self.incremental:
-                cost.mark_dirty(move.side)
+            mark_dirty(move.side)
 
         from ..obs.spans import span
         from ..runtime.telemetry import get_telemetry
 
         telemetry = get_telemetry()
-        with span("sa.anneal", telemetry, backend=self.backend):
+        with span("sa.anneal", telemetry):
             stats = annealer.optimize(
                 propose=moves.propose,
                 apply=apply,
@@ -307,7 +288,7 @@ class FingerPadExchanger:
         }
         if self.polish_passes:
             with span("exchange.polish", telemetry):
-                self._polish(after, cost)
+                self._polish(after, cost, mark_dirty)
         for assignment in after.values():
             check_legal(assignment)
 
@@ -322,7 +303,7 @@ class FingerPadExchanger:
             omega_after=omega_of_design(after, psi),
         )
 
-    def _polish(self, assignments: Dict, cost) -> None:
+    def _polish(self, assignments: Dict, cost, mark_dirty) -> None:
         """Zero-temperature finish: sweep every adjacent legal swap.
 
         Accepting only strict improvements until a full sweep finds none
@@ -331,12 +312,8 @@ class FingerPadExchanger:
         """
         from ..assign import swap_is_legal
 
-        def dirty(side) -> None:
-            if self.incremental:
-                cost.mark_dirty(side)
-
-        if self.incremental:
-            cost.mark_all_dirty()  # the polish operates on a fresh dict
+        for side in assignments:
+            mark_dirty(side)  # the polish operates on a fresh dict
         current = cost.total(assignments)
         for __ in range(self.polish_passes):
             improved = False
@@ -345,13 +322,13 @@ class FingerPadExchanger:
                     if not swap_is_legal(assignment, slot, slot + 1):
                         continue
                     assignment.swap_slots(slot, slot + 1)
-                    dirty(side)
+                    mark_dirty(side)
                     candidate = cost.total(assignments)
                     if candidate < current - 1e-12:
                         current = candidate
                         improved = True
                     else:
                         assignment.swap_slots(slot, slot + 1)
-                        dirty(side)
+                        mark_dirty(side)
             if not improved:
                 break

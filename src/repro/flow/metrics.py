@@ -36,21 +36,19 @@ def measure(
     grid_config: Optional[PowerGridConfig] = None,
     with_ir: bool = True,
     net_type: Optional[NetType] = NetType.POWER,
-    backend: str = "auto",
 ) -> DesignMetrics:
     """Measure one assignment of a design.
 
     ``with_ir=False`` skips the (comparatively expensive) power-grid solve —
-    Table 2 only needs density and wirelength.  ``backend`` is the staged
-    convention and currently steers the density estimator; the IR solve
-    always takes the factor-once path and the wirelength always the
-    vectorized flyline routine.  Density, legality, wirelength and the
-    supply-pad mapping read one cached per-quadrant table
-    (:class:`~repro.package.QuadrantTables`).  The stages run in the
-    ``measure.density``, ``measure.wirelength`` and ``measure.ir`` spans.
+    Table 2 only needs density and wirelength.  Density, legality,
+    wirelength and the supply-pad mapping read one cached per-quadrant
+    table (:class:`~repro.package.QuadrantTables`); the IR solve takes the
+    factor-once path.  The stages run in the ``measure.density``,
+    ``measure.wirelength``, ``measure.ir`` and (stacking ICs only)
+    ``measure.omega`` spans.
     """
     with span("measure.density"):
-        density = max_density_of_design(assignments, backend=backend)
+        density = max_density_of_design(assignments)
     with span("measure.wirelength"):
         wirelength = total_flyline_length_of_design(assignments)
     ir_drop = None
@@ -61,7 +59,10 @@ def measure(
             )
             ir_drop = analyzer.max_drop(assignments)
     psi = design.stacking.tier_count
-    omega = omega_of_design(assignments, psi) if psi > 1 else None
+    omega = None
+    if psi > 1:
+        with span("measure.omega"):
+            omega = omega_of_design(assignments, psi)
     return DesignMetrics(
         max_density=density,
         wirelength=wirelength,

@@ -13,7 +13,7 @@ redundancy into a bug-finding machine, Csmith-style:
 ``oracles``
     Pluggable differential oracles (:data:`ORACLES`): IFA/DFA density
     parity, monotonic routability of every emitted assignment,
-    object/array/exact backend trace + cost parity, and engine
+    kernel vs object-loop exchange trace + cost parity, and engine
     serial/parallel/cached value equality.
 ``shrink``
     Greedy delta-debugging minimization of failing (case, oracle) pairs.

@@ -31,7 +31,7 @@ the bonding metric, both in O(1) apart from the exact wirelength resync.
 Move proposal replicates :class:`~repro.exchange.moves.MoveGenerator`
 call-for-call (same candidate ordering, same ``rng`` consumption, same
 legality rule), so a shared seed yields the *identical* accept/reject
-trace and final assignment as the object backend —
+trace and final assignment as the object-model reference —
 ``tests/test_kernels.py`` proves it on every Table-2/Table-3 circuit and
 cross-checks kernel totals against ``verify.checkers``' exact Eq.-3
 re-derivation to 1e-9.
@@ -83,7 +83,8 @@ class ArrayExchangeKernel:
         if ir_proxy is not None:
             raise ExchangeError(
                 "the array kernel implements the paper's compact gap-spread "
-                "proxy only; use backend='object' to inject a custom ir_proxy"
+                "proxy only; FingerPadExchanger runs a custom ir_proxy on "
+                "the object loop"
             )
         self.design = design
         self.weights = weights or CostWeights()
@@ -102,8 +103,8 @@ class ArrayExchangeKernel:
         power_only = (self.psi == 1) if power_only is None else power_only
         self.power_only = power_only
 
-        # -- normalizers: the exact model's own code paths, so both
-        # backends divide by bit-identical constants.
+        # -- normalizers: the exact model's own code paths, so the kernel
+        # and the reference divide by bit-identical constants.
         if split_networks:
             raw = sum(
                 compact_ir_cost(
@@ -252,8 +253,8 @@ class ArrayExchangeKernel:
         """One random legal adjacent swap ``(side_index, lo_slot_1based)``.
 
         Byte-compatible with ``MoveGenerator.propose``: identical candidate
-        ordering and rng consumption, so shared seeds walk both backends
-        through the same move sequence.
+        ordering and rng consumption, so shared seeds walk the kernel and
+        the reference through the same move sequence.
         """
         if not self._candidates:
             return None
@@ -518,9 +519,9 @@ class ArrayExchangeKernel:
     def polish(self, passes: int) -> None:
         """Greedy sweep of every legal adjacent swap (see ``_polish``).
 
-        Semantically identical to the object backend's polish: same side
+        Semantically identical to the object loop's polish: same side
         and slot order, same strict-improvement threshold, so both
-        backends converge to the same local optimum.
+        converge to the same local optimum.
         """
         current = self.cost()
         for __ in range(passes):

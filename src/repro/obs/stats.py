@@ -245,7 +245,7 @@ def render_stats(summary: dict, top: int = 10) -> str:
         if bits:
             header = f"trace: repro {' '.join(bits)}"
         extras = [
-            f"{k}={meta[k]}" for k in ("seed", "jobs", "backend", "schema") if k in meta
+            f"{k}={meta[k]}" for k in ("seed", "jobs", "schema") if k in meta
         ]
         if extras:
             header += f"  ({', '.join(extras)})"

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import warnings
 from typing import Dict, Optional
 
 from ..package import NetType, PackageDesign
 from .compact import compact_ir_cost
-from .fdsolver import FDSolver, IRDropResult
+from .fdsolver import FDSolver
 from .grid import PowerGridConfig
 from .pads import pad_nodes_for_grid, supply_pad_fractions
 
@@ -49,17 +48,6 @@ class IRDropAnalyzer:
             self.design, assignments, self.grid_config, net_type=self.net_type
         )
         return self._solver.factorize(nodes)
-
-    def solve(self, assignments: Dict) -> IRDropResult:
-        """Deprecated: use ``factorize(assignments).solve()`` instead."""
-        warnings.warn(
-            "IRDropAnalyzer.solve() is deprecated; use "
-            "IRDropAnalyzer.factorize(assignments).solve() for the "
-            "factor-once path",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.factorize(assignments).solve()
 
     def max_drop(self, assignments: Dict) -> float:
         """Maximum core IR-drop in volts for the given assignment."""

@@ -80,17 +80,12 @@ class CodesignView:
     bonding_improvement: float
 
 
-def table3_specs(seed: int = 7, grid: int = 32, backend: str = "auto") -> List[JobSpec]:
-    """The exchange experiment: five circuits at psi=1 and psi=4.
-
-    ``backend`` is recorded in the spec params only when it deviates from
-    the default, keeping established cache digests stable.
-    """
-    extra = {} if backend == "auto" else {"backend": backend}
+def table3_specs(seed: int = 7, grid: int = 32) -> List[JobSpec]:
+    """The exchange experiment: five circuits at psi=1 and psi=4."""
     return [
         JobSpec(
             "codesign",
-            dict({"circuit": index, "tiers": tiers, "grid": grid}, **extra),
+            {"circuit": index, "tiers": tiers, "grid": grid},
             seed=seed,
         )
         for tiers in (1, 4)

@@ -71,7 +71,6 @@ def run_tempering(
     tiers: int = 1,
     grid: int = 32,
     polish_passes: int = 20,
-    backend_grid: str = "auto",
 ) -> Dict:
     """One parallel-tempering co-design run; returns the Table-3 row dict.
 
@@ -182,7 +181,6 @@ def run_tempering(
         states[best_chain],
         grid=grid,
         polish_passes=polish_passes,
-        backend=backend_grid,
     )
     result["tempering"] = {
         "chains": config.chains,
@@ -211,7 +209,6 @@ def _finalize(
     state: Dict,
     grid: int,
     polish_passes: int,
-    backend: str,
 ) -> Dict:
     """Measure the winning chain's best configuration like ``codesign``.
 

@@ -100,17 +100,17 @@ class TestExchangeParity:
         assert facade.stats.accepted == legacy.stats.accepted
 
     def test_backend_keyword_is_parity_checked(self, stacked):
+        """No ``backend=`` to pick a path: the facade runs the kernel, which
+        must match the object-loop reference move for move."""
         baseline = assign_design(DFAAssigner(), stacked)
-        by_object = api.exchange(
-            stacked, baseline, sa_params=FAST_SA, seed=9, backend="object"
+        with pytest.raises(TypeError):
+            api.exchange(stacked, baseline, seed=9, backend="object")
+        facade = api.exchange(stacked, baseline, sa_params=FAST_SA, seed=9)
+        reference = FingerPadExchanger(stacked, params=FAST_SA)._run_object(
+            baseline, seed=9
         )
-        by_array = api.exchange(
-            stacked, baseline, sa_params=FAST_SA, seed=9, backend="array"
-        )
-        assert by_object.backend == "object"
-        assert by_array.backend == "array"
-        assert {s: a.order for s, a in by_object.after.items()} == {
-            s: a.order for s, a in by_array.after.items()
+        assert {s: a.order for s, a in facade.after.items()} == {
+            s: a.order for s, a in reference.after.items()
         }
 
 
@@ -148,12 +148,11 @@ class TestRunParity:
         assert facade.metrics_final == legacy.metrics_final
 
     def test_verify_and_backend_keywords(self, design):
-        result = api.run(
-            design, sa_params=FAST_SA, grid=16, seed=7,
-            verify="repair", backend="object",
-        )
-        assert result.backend == "object"
+        result = api.run(design, sa_params=FAST_SA, grid=16, seed=7, verify="repair")
         assert result.metrics_initial is not None
+        assert not hasattr(result, "backend")
+        with pytest.raises(TypeError):
+            api.run(design, seed=7, backend="object")
 
     def test_run_result_json_friendly_bits(self, design):
         result = api.run(design, sa_params=FAST_SA, grid=16, seed=7)
@@ -188,32 +187,11 @@ class TestTelemetryKeyword:
 
 
 class TestDeprecationShims:
-    def test_random_assigner_ctor_seed_warns(self):
-        with pytest.deprecated_call():
-            RandomAssigner(seed=3)
-
-    def test_random_assigner_ctor_seed_still_works(self, design):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = RandomAssigner(seed=3)
-        quadrant = next(iter(design.quadrants.values()))
-        assert legacy.assign(quadrant).order == RandomAssigner().assign(
-            quadrant, seed=3
-        ).order
-
-    def test_exchanger_incremental_warns(self, design):
-        with pytest.deprecated_call():
-            exchanger = FingerPadExchanger(design, incremental=True)
-        assert exchanger.backend == "object"
-        with pytest.deprecated_call():
-            exchanger = FingerPadExchanger(design, incremental=False)
-        assert exchanger.backend == "exact"
-
     def test_no_warning_on_new_spellings(self, design):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             RandomAssigner()
-            FingerPadExchanger(design, backend="object")
+            FingerPadExchanger(design)
             api.assign(design, method="random", seed=0)
 
 

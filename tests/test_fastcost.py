@@ -83,12 +83,9 @@ class TestExchangerIntegration:
     def test_incremental_matches_exact_exchange(self, small_design):
         """The whole exchange must be seed-identical with and without caching."""
         initial = assign_design(DFAAssigner(), small_design)
-        fast = FingerPadExchanger(
-            small_design, params=FAST_SA, backend="object"
-        ).run(initial, seed=9)
-        slow = FingerPadExchanger(
-            small_design, params=FAST_SA, backend="exact"
-        ).run(initial, seed=9)
+        exchanger = FingerPadExchanger(small_design, params=FAST_SA)
+        fast = exchanger._run_object(initial, seed=9)
+        slow = exchanger._run_object(initial, seed=9, cost_class=ExchangeCost)
         assert {s: a.order for s, a in fast.after.items()} == {
             s: a.order for s, a in slow.after.items()
         }
@@ -98,15 +95,15 @@ class TestExchangerIntegration:
         """Soft check: caching should not cost time (usually saves ~4x)."""
         initial = assign_design(DFAAssigner(), small_design)
 
-        def timed(backend):
+        exchanger = FingerPadExchanger(small_design, params=FAST_SA)
+
+        def timed(cost_class):
             start = time.perf_counter()
-            FingerPadExchanger(
-                small_design, params=FAST_SA, backend=backend
-            ).run(initial, seed=9)
+            exchanger._run_object(initial, seed=9, cost_class=cost_class)
             return time.perf_counter() - start
 
-        fast = timed("object")
-        slow = timed("exact")
+        fast = timed(CachedExchangeCost)
+        slow = timed(ExchangeCost)
         assert fast < slow * 1.5  # generous bound to stay CI-stable
 
 

@@ -310,7 +310,7 @@ class TestSACheckpointer:
 
         def run(checkpoint):
             exchanger = FingerPadExchanger(
-                design, params=params, backend="array", polish_passes=2,
+                design, params=params, polish_passes=2,
                 checkpoint=checkpoint,
             )
             return exchanger.run(

@@ -1,8 +1,8 @@
 """Array exchange kernel: parity with the object model, proven not assumed.
 
 The contract of ``repro.kernels`` is strong: under a shared seed the array
-backend must walk the *identical* accept/reject trace as the object
-backend and land on the identical final assignment, while its
+kernel must walk the *identical* accept/reject trace as the object-model
+reference and land on the identical final assignment, while its
 incrementally maintained Eq.-3 total stays within 1e-9 of the exact
 from-scratch model at every probe point.  These tests enforce that
 contract on every Table-2/Table-3 circuit and on hypothesis-generated
@@ -30,12 +30,7 @@ from repro.exchange import (
     omega_of_design,
 )
 from repro.exchange.annealer import SimulatedAnnealer
-from repro.kernels import (
-    ARRAY_BACKEND_THRESHOLD,
-    ArrayExchangeKernel,
-    resolve_backend,
-    row_run_counts,
-)
+from repro.kernels import ArrayExchangeKernel, row_run_counts
 from repro.package import NetType
 from repro.routing.density import run_partition
 from repro.verify import check_exchange_total
@@ -139,12 +134,9 @@ class TestExchangerParity:
     def test_final_assignments_identical(self, tiers, index):
         design = circuit_design(index, tiers)
         baseline = assign_design(DFAAssigner(), design)
-        result_o = FingerPadExchanger(
-            design, params=FAST_SA, backend="object"
-        ).run(baseline, seed=9)
-        result_a = FingerPadExchanger(
-            design, params=FAST_SA, backend="array"
-        ).run(baseline, seed=9)
+        exchanger = FingerPadExchanger(design, params=FAST_SA)
+        result_o = exchanger._run_object(baseline, seed=9)
+        result_a = exchanger.run(baseline, seed=9)
         assert {s: a.order for s, a in result_o.after.items()} == {
             s: a.order for s, a in result_a.after.items()
         }
@@ -158,8 +150,9 @@ class TestExchangerParity:
         """One run at the paper's full SA schedule, not just the fast one."""
         design = circuit_design(1, 4)
         baseline = assign_design(DFAAssigner(), design)
-        result_o = FingerPadExchanger(design, backend="object").run(baseline, seed=7)
-        result_a = FingerPadExchanger(design, backend="array").run(baseline, seed=7)
+        exchanger = FingerPadExchanger(design)
+        result_o = exchanger._run_object(baseline, seed=7)
+        result_a = exchanger.run(baseline, seed=7)
         assert {s: a.order for s, a in result_o.after.items()} == {
             s: a.order for s, a in result_a.after.items()
         }
@@ -333,41 +326,67 @@ class TestStateStructures:
 
 
 class TestBackendResolution:
-    def test_explicit_backends(self):
-        design = circuit_design(1, 1)
-        assert resolve_backend("object", design) == "object"
-        assert resolve_backend("array", design) == "array"
-        assert resolve_backend("exact", design) == "exact"
+    """The exchange picks its path from its input, never from a setting."""
 
-    def test_auto_is_array_at_every_size(self):
+    def test_auto_is_array_at_every_size(self, monkeypatch):
+        calls = []
+        original = FingerPadExchanger._run_array
+
+        def counting(self, assignments, seed):
+            calls.append(self.design.name)
+            return original(self, assignments, seed)
+
+        monkeypatch.setattr(FingerPadExchanger, "_run_array", counting)
         tiny = build_design(CircuitSpec(name="tiny", finger_count=16), seed=0)
-        small = circuit_design(1, 1)
-        assert small.total_net_count < ARRAY_BACKEND_THRESHOLD
-        big = build_design(
-            CircuitSpec(name="big", finger_count=ARRAY_BACKEND_THRESHOLD), seed=0
-        )
-        for design in (tiny, small, big):
-            assert resolve_backend("auto", design) == "array"
-            assert FingerPadExchanger(design).backend == "array"
+        big = build_design(CircuitSpec(name="big", finger_count=512), seed=0)
+        for design in (tiny, circuit_design(1, 1), big):
+            baseline = assign_design(DFAAssigner(), design)
+            FingerPadExchanger(design, params=FAST_SA).run(baseline, seed=1)
+        assert calls == ["tiny", "circuit1", "big"]
 
-    def test_custom_ir_proxy_stays_on_object(self):
+    def test_custom_ir_proxy_stays_on_object(self, monkeypatch):
         design = circuit_design(1, 1)
-        proxy = lambda fractions: 1.0  # noqa: E731
-        assert resolve_backend("auto", design, ir_proxy=proxy) == "object"
-        assert FingerPadExchanger(design, ir_proxy=proxy).backend == "object"
-        with pytest.raises(ExchangeError):
-            resolve_backend("array", design, ir_proxy=proxy)
+        baseline = assign_design(DFAAssigner(), design)
+
+        def no_kernel(*args, **kwargs):
+            raise AssertionError("a custom ir_proxy must not reach the kernel")
+
+        monkeypatch.setattr(FingerPadExchanger, "_run_array", no_kernel)
+        proxy = lambda fractions: float(len(fractions))  # noqa: E731
+        result = FingerPadExchanger(
+            design, params=FAST_SA, ir_proxy=proxy
+        ).run(baseline, seed=1)
+        assert result.stats.proposed > 0
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ExchangeError):
-            resolve_backend("vectorized", circuit_design(1, 1))
+        """There is no ``backend=`` keyword left to set."""
+        from repro.flow import CoDesignFlow
 
-    def test_exchanger_array_with_ir_proxy_raises(self):
         design = circuit_design(1, 1)
+        with pytest.raises(TypeError):
+            FingerPadExchanger(design, backend="array")
+        with pytest.raises(TypeError):
+            FingerPadExchanger(design, incremental=True)
+        with pytest.raises(TypeError):
+            CoDesignFlow(backend="array")
+
+    def test_exchanger_array_with_ir_proxy_raises(self, tmp_path):
+        """The kernel refuses a custom proxy, so checkpointing one does too."""
+        from repro.exchange import SACheckpointer
+
+        design = circuit_design(1, 1)
+        baseline = assign_design(DFAAssigner(), design)
+        proxy = lambda fractions: 1.0  # noqa: E731
         with pytest.raises(ExchangeError):
-            FingerPadExchanger(
-                design, backend="array", ir_proxy=lambda f: 1.0
-            )
+            ArrayExchangeKernel(design, baseline, ir_proxy=proxy)
+        exchanger = FingerPadExchanger(
+            design,
+            params=FAST_SA,
+            ir_proxy=proxy,
+            checkpoint=SACheckpointer(tmp_path / "sa.ckpt", durable=False),
+        )
+        with pytest.raises(ExchangeError, match="array kernel"):
+            exchanger.run(baseline, seed=1)
 
 
 class TestPropertyParity:

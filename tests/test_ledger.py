@@ -73,7 +73,12 @@ def test_registration_discovery(bench_dir, capsys):
     assert "bench_broken" in capsys.readouterr().out
 
 
-def test_run_ledger_appends_attributed_records(bench_dir, tmp_path):
+#: A fixed revision, so the ledger tests do not depend on a git checkout.
+FIXED_REV = "0123456789abcdef0123456789abcdef01234567"
+
+
+def test_run_ledger_appends_attributed_records(bench_dir, tmp_path, monkeypatch):
+    monkeypatch.setattr("repro.obs.bench.git_revision", lambda cwd=None: FIXED_REV)
     history = tmp_path / "hist.jsonl"
     written = run_ledger(bench_dir, history)
     assert len(written) == 1
@@ -87,10 +92,27 @@ def test_run_ledger_appends_attributed_records(bench_dir, tmp_path):
         "elapsed_ms": "lower", "quality": "higher"
     }
     assert set(record["context"]["host"]) >= {"node", "python", "cpus"}
-    assert isinstance(record["git_rev"], str) and record["git_rev"]
+    assert record["git_rev"] == FIXED_REV
     # A second run accumulates, never truncates.
     run_ledger(bench_dir, history)
     assert len(load_history(history)) == 2
+
+
+def test_run_ledger_records_a_missing_rev_as_null(bench_dir, tmp_path, monkeypatch):
+    """Outside a git checkout the rev is JSON null and reported as unknown."""
+    monkeypatch.setattr("repro.obs.bench.git_revision", lambda cwd=None: None)
+    history = tmp_path / "hist.jsonl"
+    run_ledger(bench_dir, history)
+    (line,) = history.read_text().splitlines()
+    assert json.loads(line)["git_rev"] is None
+    assert '"git_rev": null' in line
+    baseline = tmp_path / "baseline.json"
+    baseline.write_text(json.dumps({
+        "benches": {"toy": {"metrics": {"elapsed_ms": {"max": 150.0}}}}
+    }))
+    result = compare_ledger(history, baseline)
+    assert result["failures"] == []
+    assert "toy @ unknown:" in result["rows"]
 
 
 def test_host_fingerprint_is_stable_and_json_safe():

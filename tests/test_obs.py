@@ -157,33 +157,46 @@ class TestExchangeSpanCoverage:
 
 class TestMeasureSpanCoverage:
     @pytest.fixture(scope="class")
-    def tree(self):
+    def trees(self):
+        """Span trees of one 1,792-finger ``api.run`` at psi 1 and psi 4."""
         from repro import api
         from repro.circuits import CircuitSpec, build_design
 
-        design = build_design(CircuitSpec(name="cover", finger_count=1792), seed=0)
-        telemetry = Telemetry()
-        api.run(design, seed=0, telemetry=telemetry)
-        return build_span_tree(telemetry.events)
+        trees = {}
+        for tiers in (1, 4):
+            design = build_design(
+                CircuitSpec(name="cover", finger_count=1792, tier_count=tiers),
+                seed=0,
+            )
+            telemetry = Telemetry()
+            api.run(design, seed=0, telemetry=telemetry)
+            trees[tiers] = build_span_tree(telemetry.events)
+        return trees
 
-    def test_flow_measure_untracked_under_5pct(self, tree):
-        """Both measurements of a run spend their time in named stages."""
-        (measure,) = [node for node in tree.walk() if node.name == "flow.measure"]
-        names = [child.name for child in measure.children]
-        assert sorted(names) == sorted(
-            ["measure.density", "measure.wirelength", "measure.ir"] * 2
-        )
-        assert measure.self_seconds < 0.05 * measure.seconds
+    def test_flow_measure_untracked_under_5pct(self, trees):
+        """Both measurements of a run spend their time in named stages.
 
-    def test_api_run_root_untracked_under_5pct(self, tree):
+        Stacking ICs (psi > 1) add the omega count as ``measure.omega``.
+        """
+        for tiers, tree in trees.items():
+            (measure,) = [node for node in tree.walk() if node.name == "flow.measure"]
+            names = [child.name for child in measure.children]
+            stages = ["measure.density", "measure.wirelength", "measure.ir"]
+            if tiers > 1:
+                stages.append("measure.omega")
+            assert sorted(names) == sorted(stages * 2)
+            assert measure.self_seconds < 0.05 * measure.seconds
+
+    def test_api_run_root_untracked_under_5pct(self, trees):
         """Outside the named stages, the root and the flow do next to nothing."""
-        (root,) = tree.roots
-        assert root.name == "api.run"
-        (flow,) = root.children
-        assert {child.name for child in flow.children} == {
-            "flow.assign", "flow.exchange", "flow.measure"
-        }
-        assert root.self_seconds + flow.self_seconds < 0.05 * root.seconds
+        for tree in trees.values():
+            (root,) = tree.roots
+            assert root.name == "api.run"
+            (flow,) = root.children
+            assert {child.name for child in flow.children} == {
+                "flow.assign", "flow.exchange", "flow.measure"
+            }
+            assert root.self_seconds + flow.self_seconds < 0.05 * root.seconds
 
 
 class TestSpanPrimitives:

@@ -7,7 +7,7 @@ from repro.assign import IFAAssigner, RandomAssigner, assign_design, is_legal
 from repro.fuzz.gen import FuzzCase
 from repro.kernels import max_density_of_order
 from repro.package import NetType, quadrant_tables
-from repro.routing import max_density, total_flyline_length
+from repro.routing import density_map, total_flyline_length
 from repro.routing.wirelength import total_flyline_length_of_design
 
 
@@ -73,7 +73,7 @@ class TestQuadrantTables:
                 assert is_legal(assignment)
                 assert max_density_of_order(
                     assignment.quadrant, assignment.order
-                ) == max_density(assignment, backend="object")
+                ) == density_map(assignment).max_density
             reference = sum(total_flyline_length(a) for a in assignments.values())
             assert total_flyline_length_of_design(assignments) == pytest.approx(
                 reference, rel=1e-12

@@ -1,4 +1,4 @@
-"""Staged pipeline protocols, kernel parity and deprecation shims (PR 8)."""
+"""Staged pipeline protocols and kernel parity with the object references."""
 
 import numpy as np
 import pytest
@@ -14,22 +14,44 @@ from repro.assign import (
     assign_design,
     assign_quadrant,
 )
-from repro.circuits import TABLE1_SPECS, build_design, fig5_quadrant, fig13_quadrant
-from repro.errors import AssignmentError, ExchangeError, PowerModelError
+from repro.circuits import (
+    TABLE1_SPECS,
+    build_design,
+    fig5_quadrant,
+    fig13_quadrant,
+    table1_circuit,
+)
+from repro.errors import AssignmentError, PowerModelError
+from repro.exchange import SAParams
 from repro.kernels import (
     GridFactorization,
     dfa_order,
     factorize_grid,
     ifa_order,
     max_density_of_order,
-    resolve_stage_backend,
 )
 from repro.power import FDSolver, IRDropAnalyzer, PowerGridConfig
 from repro.routing import (
     MonotonicDensityEstimator,
+    density_map,
     max_density,
     max_density_of_design,
 )
+
+
+def reference_orders(assigner, design, seed=None):
+    """The object assigner's own orders, quadrant by quadrant, staged seeds."""
+    return {
+        side: assigner.assign(
+            quadrant, seed=None if seed is None else seed + index
+        ).order
+        for index, (side, quadrant) in enumerate(design)
+    }
+
+
+def reference_density(assignments):
+    """The object density walk over a design's assignments."""
+    return max(density_map(a).max_density for a in assignments.values())
 
 
 def all_quadrants():
@@ -56,31 +78,36 @@ class TestAssignKernelParity:
             dfa_order(fig5_quadrant(), cut_line_n=0)
 
     def test_staged_backends_agree(self, small_design):
-        for assigner in (IFAAssigner(), DFAAssigner(cut_line_n=2)):
-            via_object = assign_design(assigner, small_design, backend="object")
-            via_array = assign_design(assigner, small_design, backend="array")
-            assert {s: a.order for s, a in via_object.items()} == {
-                s: a.order for s, a in via_array.items()
-            }
+        """Staged IFA/DFA (the kernels) == the assigners' own ``assign``.
+
+        Every Table-1 circuit at psi 1 and 4, all below the 512 nets at
+        which the kernels used to take over, plus a non-default cut line.
+        """
+        designs = [small_design] + [
+            build_design(table1_circuit(index, tier_count=tiers), seed=0)
+            for tiers in (1, 4)
+            for index in range(1, 6)
+        ]
+        for design in designs:
+            for assigner in (IFAAssigner(), DFAAssigner(), DFAAssigner(cut_line_n=2)):
+                staged = assign_design(assigner, design)
+                assert {s: a.order for s, a in staged.items()} == reference_orders(
+                    assigner, design
+                )
+                assert max_density_of_design(staged) == reference_density(staged)
 
     def test_array_backend_skips_custom_assigners(self, small_design):
-        # Randomized/custom strategies have no kernel twin; the array
-        # backend must still run their own assign with staged seeds.
-        via_array = assign_design(
-            RandomAssigner(), small_design, seed=3, backend="array"
+        # Randomized/custom strategies have no kernel twin; the staged
+        # walk must still run their own assign with staged seeds.
+        staged = assign_design(RandomAssigner(), small_design, seed=3)
+        assert {s: a.order for s, a in staged.items()} == reference_orders(
+            RandomAssigner(), small_design, seed=3
         )
-        via_object = assign_design(
-            RandomAssigner(), small_design, seed=3, backend="object"
-        )
-        assert {s: a.order for s, a in via_array.items()} == {
-            s: a.order for s, a in via_object.items()
-        }
 
     def test_assign_quadrant_array_matches_object(self):
         quadrant = fig13_quadrant()
-        array = assign_quadrant(DFAAssigner(), quadrant, backend="array")
-        obj = assign_quadrant(DFAAssigner(), quadrant, backend="object")
-        assert array.order == obj.order
+        array = assign_quadrant(DFAAssigner(), quadrant)
+        assert array.order == DFAAssigner().assign(quadrant).order
         assert isinstance(array, Assignment)
 
 
@@ -91,39 +118,41 @@ class TestDensityKernelParity:
             for assignment in assignments.values():
                 assert max_density_of_order(
                     assignment.quadrant, assignment.order
-                ) == max_density(assignment, backend="object")
+                ) == density_map(assignment).max_density
+                assert max_density(assignment) == density_map(
+                    assignment
+                ).max_density
 
     def test_design_level_backend_keyword(self, small_design):
+        """One path, no keyword: the kernel equals the object density walk."""
         assignments = assign_design(DFAAssigner(), small_design)
-        assert max_density_of_design(
-            assignments, backend="array"
-        ) == max_density_of_design(assignments, backend="object")
+        assert max_density_of_design(assignments) == reference_density(assignments)
+        with pytest.raises(TypeError):
+            max_density_of_design(assignments, backend="object")
+        with pytest.raises(TypeError):
+            MonotonicDensityEstimator(backend="object")
 
     def test_estimator_class(self, small_design):
         assignments = assign_design(DFAAssigner(), small_design)
-        object_est = MonotonicDensityEstimator(backend="object")
-        array_est = MonotonicDensityEstimator(backend="array")
-        assert object_est.max_density_of_design(
+        estimator = MonotonicDensityEstimator()
+        assert estimator.max_density_of_design(assignments) == reference_density(
             assignments
-        ) == array_est.max_density_of_design(assignments)
+        )
+        for assignment in assignments.values():
+            assert (
+                estimator.density_map(assignment).max_density
+                == estimator.max_density(assignment)
+            )
 
 
 class TestStageBackendResolver:
-    def test_auto_threshold(self):
-        from repro.kernels import ARRAY_BACKEND_THRESHOLD
-
-        assert resolve_stage_backend("auto", ARRAY_BACKEND_THRESHOLD) == "array"
-        assert resolve_stage_backend("auto", ARRAY_BACKEND_THRESHOLD - 1) == "object"
-
-    def test_explicit_spellings(self):
-        assert resolve_stage_backend("object", 10**6) == "object"
-        assert resolve_stage_backend("array", 1) == "array"
-        # "exact" only means something to the exchange cost machinery.
-        assert resolve_stage_backend("exact", 10**6) == "object"
-
-    def test_unknown_rejected(self):
-        with pytest.raises(ExchangeError):
-            resolve_stage_backend("gpu", 100)
+    def test_unknown_rejected(self, small_design):
+        """The staged walk takes no ``backend=``; the kernels always run."""
+        quadrant = next(iter(small_design.quadrants.values()))
+        with pytest.raises(TypeError):
+            assign_design(DFAAssigner(), small_design, backend="array")
+        with pytest.raises(TypeError):
+            assign_quadrant(DFAAssigner(), quadrant, backend="array")
 
 
 class TestIRSolveKernel:
@@ -240,40 +269,55 @@ class TestProtocols:
             api.assign(small_design, method=Reversed(), verify="strict")
 
     def test_api_backend_keywords(self, small_design):
-        array = api.assign(small_design, seed=0, backend="array")
-        obj = api.assign(small_design, seed=0, backend="object")
-        assert array.orders() == obj.orders()
-        measured = api.evaluate(
-            small_design, obj.assignments, backend="array", with_ir=False
+        """``api.assign`` and ``api.evaluate`` take no ``backend=``."""
+        with pytest.raises(TypeError):
+            api.assign(small_design, seed=0, backend="array")
+        assigned = api.assign(small_design, seed=0)
+        with pytest.raises(TypeError):
+            api.evaluate(small_design, assigned.assignments, backend="array")
+
+    def test_api_runs_the_kernels_below_the_old_threshold(
+        self, small_design, monkeypatch
+    ):
+        """Circuit 1 (96 nets) assigns and measures on the kernels.
+
+        The kernels used to take over only at 512 nets; now ``api.run``
+        and ``api.evaluate`` reach them at every size, and their orders
+        and densities equal the object references.
+        """
+        import repro.kernels as kernels
+
+        calls = {"dfa_order": 0, "max_density_of_order": 0}
+        for name in calls:
+            original = getattr(kernels, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(kernels, name, counting)
+        assert small_design.total_net_count < 512
+
+        fast = SAParams(initial_temp=0.03, final_temp=1e-3, moves_per_temp=30)
+        run = api.run(small_design, sa_params=fast, seed=0, grid=16)
+        assert calls["dfa_order"] == 4
+        assert calls["max_density_of_order"] == 8  # 4 quadrants, measured twice
+        flow = run.result
+        assert {
+            s: a.order for s, a in flow.assignments_initial.items()
+        } == reference_orders(DFAAssigner(), small_design)
+        assert flow.metrics_initial.max_density == reference_density(
+            flow.assignments_initial
         )
-        assert measured.max_density == api.evaluate(
-            small_design, obj.assignments, backend="object", with_ir=False
-        ).max_density
-
-
-class TestDeprecationShims:
-    def test_assign_design_method_warns_and_matches(self, small_design):
-        staged = assign_design(DFAAssigner(), small_design, seed=2)
-        with pytest.warns(DeprecationWarning, match="assign_design"):
-            legacy = DFAAssigner().assign_design(small_design, seed=2)
-        assert {s: a.order for s, a in staged.items()} == {
-            s: a.order for s, a in legacy.items()
-        }
-
-    def test_fdsolver_solve_warns_and_matches(self):
-        config = PowerGridConfig(size=12)
-        pads = [(0, 0), (11, 11)]
-        fresh = FDSolver(config).factorize(pads).solve()
-        with pytest.warns(DeprecationWarning, match="factorize"):
-            legacy = FDSolver(config).solve(pads)
-        np.testing.assert_allclose(
-            legacy.voltage, fresh.voltage, rtol=1e-9, atol=1e-12
+        assert flow.metrics_final.max_density == reference_density(
+            flow.assignments_final
         )
 
-    def test_analyzer_solve_warns_and_matches(self, small_design):
-        assignments = assign_design(DFAAssigner(), small_design)
-        analyzer = IRDropAnalyzer(small_design)
-        fresh = analyzer.factorize(assignments).solve()
-        with pytest.warns(DeprecationWarning, match="factorize"):
-            legacy = analyzer.solve(assignments)
-        assert legacy.max_drop == pytest.approx(fresh.max_drop, rel=1e-12)
+        calls["max_density_of_order"] = 0
+        for method in ("ifa", "dfa", "random"):
+            assigned = api.assign(small_design, method, seed=0)
+            measured = api.evaluate(
+                small_design, assigned.assignments, with_ir=False
+            )
+            assert measured.max_density == reference_density(assigned.assignments)
+        assert calls["max_density_of_order"] == 12
