@@ -13,19 +13,25 @@ Also runnable without pytest as a CI smoke::
 
     PYTHONPATH=src python benchmarks/bench_kernel.py --smoke
 
-which sweeps only 448/1792, asserts array >= 2x object at 1792 and exits
-non-zero otherwise (< 30 s wall clock).
+which sweeps only 448/1792, asserts array >= 2x object at 1792 and that
+the polish from the 1792-finger DFA start swaps nothing (its screen finds
+every legal swap uphill), and exits non-zero otherwise (< 30 s wall clock).
+
+``ledger_metrics`` (``repro bench run --only kernel``) times the polish at
+16,384 fingers from the DFA start, where a screened polish finds nothing
+and so should cost a few array passes and no ``_swap`` call.
 """
 
 from __future__ import annotations
 
-from repro.assign import assign_design
 import argparse
 import random
 import sys
 import time
 
-from repro.assign import DFAAssigner
+import numpy as np
+
+from repro.assign import DFAAssigner, assign_design
 from repro.circuits import CircuitSpec, build_design
 from repro.exchange import CachedExchangeCost, MoveGenerator
 from repro.kernels import ArrayExchangeKernel
@@ -39,6 +45,14 @@ ARRAY_MOVES = 4000
 #: largest sweep points stay minutes-not-hours (its per-move cost is
 #: O(rows x n)); microseconds/move stays comparable regardless of budget.
 OBJECT_MOVES = {448: 1500, 1792: 400, 7168: 60, 14336: 20}
+
+#: Perf-ledger point: ``polish(POLISH_PASSES)`` from the DFA start at
+#: ``LEDGER_COUNT`` fingers, the median of ``LEDGER_REPEATS`` fresh kernels.
+LEDGER_COUNT = 16384
+LEDGER_REPEATS = 3
+LEDGER_SEED = 0
+LEDGER_GATED = {f"polish_ms_{LEDGER_COUNT}": "lower"}
+POLISH_PASSES = 20
 
 
 def _timed_walk(propose, apply, cost, moves: int, seed: int = 0) -> float:
@@ -82,6 +96,26 @@ def measure_point(count: int, object_moves: int) -> dict:
         "object_us": object_us,
         "array_us": array_us,
         "speedup": object_us / array_us,
+    }
+
+
+def polish_from_dfa(count: int):
+    """``(milliseconds, swaps)`` of one polish from the DFA start."""
+    design = build_design(
+        CircuitSpec(name=f"kernel{count}", finger_count=count), seed=LEDGER_SEED
+    )
+    kernel = ArrayExchangeKernel(design, assign_design(DFAAssigner(), design))
+    start = time.perf_counter()
+    kernel.polish(POLISH_PASSES)
+    return (time.perf_counter() - start) * 1000.0, kernel.swap_count
+
+
+def ledger_metrics() -> dict:
+    runs = [polish_from_dfa(LEDGER_COUNT) for __ in range(LEDGER_REPEATS)]
+    milliseconds = float(np.median([ms for ms, __ in runs]))
+    return {
+        f"polish_ms_{LEDGER_COUNT}": round(milliseconds, 3),
+        f"polish_swaps_{LEDGER_COUNT}": max(swaps for __, swaps in runs),
     }
 
 
@@ -154,7 +188,11 @@ def main(argv=None) -> int:
         if speedup < 2.0:
             print(f"FAIL: array backend only {speedup:.1f}x at 1792 fingers")
             return 1
-        print(f"smoke OK: {speedup:.1f}x at 1792 fingers")
+        __, swaps = polish_from_dfa(1792)
+        if swaps:
+            print(f"FAIL: the polish from the DFA start made {swaps} swaps")
+            return 1
+        print(f"smoke OK: {speedup:.1f}x at 1792 fingers, polish swapped nothing")
     return 0
 
 

@@ -79,11 +79,6 @@ class CircuitSpec:
                 f"{self.rows_per_quadrant} rows x {self.quadrant_count} quadrants"
             )
 
-    @property
-    def fingers_per_quadrant(self) -> int:
-        """Nominal per-quadrant net count (remainders spread by the generator)."""
-        return self.finger_count // self.quadrant_count
-
     def with_tiers(self, tier_count: int) -> "CircuitSpec":
         """The same circuit as a stacking IC with ``tier_count`` tiers."""
         return replace(self, tier_count=tier_count)

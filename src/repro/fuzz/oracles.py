@@ -34,7 +34,9 @@ Oracles
     under a shared seed must produce the identical accept/reject trace,
     final orders, and Eq.-3 cost breakdowns — each additionally
     cross-checked against ``verify.check_exchange_total``'s from-scratch
-    re-derivation.
+    re-derivation.  A polish-only leg (``GreedyExchanger`` from the
+    baseline, no anneal) holds the kernel's screened polish to the
+    ``ExchangeCost`` object loop's orders, Eq.-3 terms and omega.
 ``engine``
     Serial vs ``jobs=2`` and cached vs fresh :class:`JobEngine` runs must
     agree value-for-value, including across engines with different
@@ -68,11 +70,16 @@ class SkippedCase(Exception):
     """The case is degenerate in a *consistently typed* documented way."""
 
 
-def _build_design(case: FuzzCase):
+def _or_skip(call, *args, **kwargs):
+    """``call(*args, **kwargs)``; a typed library error skips the case."""
     try:
-        return case.build_design()
+        return call(*args, **kwargs)
     except ReproError as exc:
         raise SkippedCase(f"{type(exc).__name__}: {exc}") from exc
+
+
+def _build_design(case: FuzzCase):
+    return _or_skip(case.build_design)
 
 
 def _close(a: float, b: float) -> bool:
@@ -213,10 +220,9 @@ def oracle_pad_map_parity(case: FuzzCase) -> List[str]:
     from ..power import PowerGridConfig, pad_nodes_for_grid, supply_pad_fractions
 
     design = _build_design(case)
-    try:
-        assignments = assign_design(RandomAssigner(), design, seed=case.run_seed)
-    except ReproError as exc:
-        raise SkippedCase(f"{type(exc).__name__}: {exc}") from exc
+    assignments = _or_skip(
+        assign_design, RandomAssigner(), design, seed=case.run_seed
+    )
     problems: List[str] = []
     for net_type in (NetType.POWER, NetType.GROUND, None):
         expected = _reference_pad_fractions(design, assignments, net_type)
@@ -336,16 +342,10 @@ def oracle_irsolve_parity(case: FuzzCase) -> List[str]:
     from ..power.pads import pad_nodes_for_grid
 
     design = _build_design(case)
-    try:
-        assignments = assign_design(DFAAssigner(), design, seed=case.run_seed)
-    except ReproError as exc:
-        raise SkippedCase(f"{type(exc).__name__}: {exc}") from exc
+    assignments = _or_skip(assign_design, DFAAssigner(), design, seed=case.run_seed)
 
     grid = PowerGridConfig(size=12 + case.run_seed % 5)
-    try:
-        nodes = pad_nodes_for_grid(design, assignments, grid, net_type=None)
-    except ReproError as exc:
-        raise SkippedCase(f"{type(exc).__name__}: {exc}") from exc
+    nodes = _or_skip(pad_nodes_for_grid, design, assignments, grid, net_type=None)
     if not nodes:
         raise SkippedCase("case yields no supply pad nodes")
     rng = np.random.default_rng(case.run_seed)
@@ -374,19 +374,25 @@ def oracle_irsolve_parity(case: FuzzCase) -> List[str]:
 # -- exchange paths --------------------------------------------------------
 
 
-def _run_exchange(case: FuzzCase, design, baseline, path: str):
-    """One anneal on *path*: the kernel, or the object loop on either cost."""
-    from ..exchange import ExchangeCost, FingerPadExchanger
+def _exchanger(case: FuzzCase, design, cls=None, **kwargs):
+    """An exchanger configured by the case (weights, rows, networks)."""
+    from ..exchange import FingerPadExchanger
 
-    exchanger = FingerPadExchanger(
+    return (cls or FingerPadExchanger)(
         design,
         weights=case.cost_weights(),
-        params=case.sa_params(),
         track_all_rows=case.track_all_rows,
         split_networks=case.split_networks,
-        polish_passes=2,
         wl_resync_interval=case.wl_resync_interval,
+        **kwargs,
     )
+
+
+def _run_exchange(case: FuzzCase, design, baseline, path: str):
+    """One anneal on *path*: the kernel, or the object loop on either cost."""
+    from ..exchange import ExchangeCost
+
+    exchanger = _exchanger(case, design, params=case.sa_params(), polish_passes=2)
     if path == "array":
         return exchanger.run(baseline, seed=case.run_seed)
     if path == "exact":
@@ -396,15 +402,41 @@ def _run_exchange(case: FuzzCase, design, baseline, path: str):
     return exchanger._run_object(baseline, case.run_seed)
 
 
+def _diverged(label: str, other, reference) -> List[str]:
+    """Final orders, Eq.-3 terms and omega of two exchange results."""
+    problems = [
+        f"{label}: final order differs on {side.value}"
+        for side in reference.after
+        if other.after[side].order != reference.after[side].order
+    ]
+    for term, value in reference.cost_breakdown_after.items():
+        if not _close(other.cost_breakdown_after.get(term, math.nan), value):
+            problems.append(
+                f"{label}: cost term {term!r} "
+                f"{other.cost_breakdown_after.get(term)!r} != {value!r}"
+            )
+    if other.omega_after != reference.omega_after:
+        problems.append(
+            f"{label}: omega {other.omega_after} != {reference.omega_after}"
+        )
+    return problems
+
+
+def _polish_parity(case: FuzzCase, design, baseline) -> List[str]:
+    """Polish only (``GreedyExchanger``): kernel vs ``ExchangeCost`` loop."""
+    from ..exchange import ExchangeCost, GreedyExchanger
+
+    greedy = _exchanger(case, design, GreedyExchanger)
+    exact = greedy._run_object(baseline, 0, cost_class=ExchangeCost)
+    return _diverged("polish kernel vs exact", greedy.run(baseline), exact)
+
+
 def oracle_backends(case: FuzzCase) -> List[str]:
     from ..assign import DFAAssigner
     from ..verify import check_exchange_total
 
     design = _build_design(case)
-    try:
-        baseline = assign_design(DFAAssigner(), design, seed=case.run_seed)
-    except ReproError as exc:
-        raise SkippedCase(f"{type(exc).__name__}: {exc}") from exc
+    baseline = _or_skip(assign_design, DFAAssigner(), design, seed=case.run_seed)
 
     results: Dict[str, object] = {}
     errors: Dict[str, str] = {}
@@ -447,23 +479,7 @@ def oracle_backends(case: FuzzCase) -> List[str]:
                     f"{getattr(other.stats, fld)} != "
                     f"{getattr(reference.stats, fld)} (trace divergence)"
                 )
-        for side in reference.after:
-            if other.after[side].order != reference.after[side].order:
-                problems.append(
-                    f"{path} vs object: final order differs on "
-                    f"{side.value}"
-                )
-        for term, value in reference.cost_breakdown_after.items():
-            if not _close(other.cost_breakdown_after.get(term, math.nan), value):
-                problems.append(
-                    f"{path} vs object: cost term {term!r} "
-                    f"{other.cost_breakdown_after.get(term)!r} != {value!r}"
-                )
-        if other.omega_after != reference.omega_after:
-            problems.append(
-                f"{path} vs object: omega {other.omega_after} != "
-                f"{reference.omega_after}"
-            )
+        problems.extend(_diverged(f"{path} vs object", other, reference))
     for path, result in results.items():
         report = check_exchange_total(
             design,
@@ -478,7 +494,7 @@ def oracle_backends(case: FuzzCase) -> List[str]:
             problems.extend(
                 f"{path}: {diagnostic}" for diagnostic in report.errors[:3]
             )
-    return problems
+    return problems + _polish_parity(case, design, baseline)
 
 
 # -- checkpoint ------------------------------------------------------------
@@ -500,30 +516,15 @@ def oracle_checkpoint(case: FuzzCase) -> List[str]:
     from ..exchange import SACheckpointer, SimulatedCrash
 
     design = _build_design(case)
-    try:
-        baseline = assign_design(DFAAssigner(), design, seed=case.run_seed)
-    except ReproError as exc:
-        raise SkippedCase(f"{type(exc).__name__}: {exc}") from exc
+    baseline = _or_skip(assign_design, DFAAssigner(), design, seed=case.run_seed)
 
     def run(checkpoint):
-        from ..exchange import FingerPadExchanger
-
-        exchanger = FingerPadExchanger(
-            design,
-            weights=case.cost_weights(),
-            params=case.sa_params(),
-            track_all_rows=case.track_all_rows,
-            split_networks=case.split_networks,
-            polish_passes=2,
-            wl_resync_interval=case.wl_resync_interval,
+        return _exchanger(
+            case, design, params=case.sa_params(), polish_passes=2,
             checkpoint=checkpoint,
-        )
-        return exchanger.run(baseline, seed=case.run_seed)
+        ).run(baseline, seed=case.run_seed)
 
-    try:
-        reference = run(None)
-    except ReproError as exc:
-        raise SkippedCase(f"{type(exc).__name__}: {exc}") from exc
+    reference = _or_skip(run, None)
 
     with tempfile.TemporaryDirectory(prefix="repro-fuzz-ckpt-") as tmp:
         path = os.path.join(tmp, "sa.ckpt")

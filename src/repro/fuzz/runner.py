@@ -109,6 +109,22 @@ def _check_case(oracle_name, oracle, case, report, telemetry, metrics):
     return problems
 
 
+def _finish(report, started: float, telemetry):
+    """Stamp the campaign's wall time and emit its ``fuzz.end`` event."""
+    report.seconds = time.perf_counter() - started
+    telemetry.emit(
+        "fuzz.end",
+        cases=report.cases,
+        failures=len(report.failures),
+        skipped=report.skipped,
+        seconds=round(report.seconds, 6),
+        cases_per_s=round(report.cases / report.seconds, 3)
+        if report.seconds > 0
+        else 0.0,
+    )
+    return report
+
+
 def run_fuzz(
     cases: int = 100,
     seed: int = 0,
@@ -170,18 +186,7 @@ def run_fuzz(
                         save_corpus_entry(corpus_dir, failure)
                     )
                 report.failures.append(failure)
-    report.seconds = time.perf_counter() - started
-    telemetry.emit(
-        "fuzz.end",
-        cases=report.cases,
-        failures=len(report.failures),
-        skipped=report.skipped,
-        seconds=round(report.seconds, 6),
-        cases_per_s=round(report.cases / report.seconds, 3)
-        if report.seconds > 0
-        else 0.0,
-    )
-    return report
+    return _finish(report, started, telemetry)
 
 
 # -- corpus ----------------------------------------------------------------
@@ -264,15 +269,4 @@ def replay_corpus(
                 )
                 failure.corpus_path = entry.get("path")
                 report.failures.append(failure)
-    report.seconds = time.perf_counter() - started
-    telemetry.emit(
-        "fuzz.end",
-        cases=report.cases,
-        failures=len(report.failures),
-        skipped=report.skipped,
-        seconds=round(report.seconds, 6),
-        cases_per_s=round(report.cases / report.seconds, 3)
-        if report.seconds > 0
-        else 0.0,
-    )
-    return report
+    return _finish(report, started, telemetry)

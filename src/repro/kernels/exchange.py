@@ -1,15 +1,14 @@
 """Array-backed exchange kernel: O(1) adjacent-swap deltas for the SA loop.
 
-``CachedExchangeCost`` re-derives a dirtied side's pad fractions, section
-runs and omega groups on every ``total()`` call — O(rows * n) per move,
-which caps the annealer near the paper's 448-finger circuits.  This kernel
-mirrors the object model as flat arrays (see :mod:`.state`) and keeps every
-Eq.-3 ingredient incrementally:
+The production exchange at every design size.  It mirrors the object
+model as flat arrays (see :mod:`.state`) and keeps every Eq.-3 ingredient
+incrementally, where ``CachedExchangeCost`` re-derives a dirtied side in
+O(rows * n) per move:
 
 * **IR term** — the compact proxy is the sum of squared circular gaps
-  between supply-pad ring positions.  All ring positions live on the
-  uniform grid ``(g - 0.5) / N``, so gaps are *integers* in slot units and
-  the proxy is ``sum(gap^2) / N^2`` exactly.  A doubly-linked ring over the
+  between supply-pad ring positions.  Ring positions live on the uniform
+  grid ``(g - 0.5) / N``, so gaps are *integers* in slot units and the
+  proxy is ``sum(gap^2) / N^2`` exactly.  A doubly-linked ring over the
   occupied positions per supply network turns a pad move into a four-gap
   integer update — no floating-point accumulation, hence no drift, ever.
 * **density term (Eq. 2)** — an adjacent swap crosses at most one via of
@@ -18,23 +17,22 @@ Eq.-3 ingredient incrementally:
   ``max_c (I_c_new - I_c_ini)`` in O(1) amortized.
 * **bonding term (omega)** — tier bitmasks per finger group; a swap only
   re-ORs the (at most) two groups it straddles, O(psi).
-* **wirelength guard** (optional) — per-net flyline lengths recomputed
-  from the flyline geometry of the quadrant's static
-  :class:`~repro.package.QuadrantTables`, four ``hypot`` calls per move,
-  with a periodic vectorized resync to keep float accumulation below 1e-12.
+* **wirelength guard** (optional) — four ``hypot`` calls per move on the
+  quadrant's :class:`~repro.package.QuadrantTables` flyline geometry, with
+  a periodic vectorized resync to keep float accumulation below 1e-12.
 
-The kernel is the production exchange at every design size and reports
-for itself: :meth:`ArrayExchangeKernel.breakdown` returns the Eq.-3 terms
-keyed like ``ExchangeCost.breakdown`` and :attr:`ArrayExchangeKernel.omega`
-the bonding metric, both in O(1) apart from the exact wirelength resync.
+Because the IR and density deltas are exact integers, the zero-temperature
+:meth:`ArrayExchangeKernel.polish` screens a whole window of swaps in one
+NumPy pass and runs the exact step only where the cost could drop.
+:meth:`~ArrayExchangeKernel.breakdown` and :attr:`~ArrayExchangeKernel.omega`
+report the Eq.-3 terms keyed like ``ExchangeCost.breakdown``.
 
 Move proposal replicates :class:`~repro.exchange.moves.MoveGenerator`
-call-for-call (same candidate ordering, same ``rng`` consumption, same
-legality rule), so a shared seed yields the *identical* accept/reject
-trace and final assignment as the object-model reference —
-``tests/test_kernels.py`` proves it on every Table-2/Table-3 circuit and
-cross-checks kernel totals against ``verify.checkers``' exact Eq.-3
-re-derivation to 1e-9.
+call-for-call (candidate ordering, ``rng`` consumption, legality), so a
+shared seed yields the *identical* accept/reject trace and final
+assignment as the object-model reference — ``tests/test_kernels.py``
+proves it on every Table-2/Table-3 circuit and cross-checks kernel totals
+against ``verify.checkers``' exact Eq.-3 re-derivation to 1e-9.
 """
 
 from __future__ import annotations
@@ -47,15 +45,17 @@ import numpy as np
 
 from ..assign import Assignment
 from ..errors import ExchangeError
-from ..exchange.bonding import omega_of_design
 from ..exchange.cost import CostWeights
 from ..package import NetType
 from ..power import compact_ir_cost, supply_pad_fractions
-from .state import SideArrays, build_side_arrays
+from .state import SideArrays, build_side_arrays, row_run_counts
 
 #: How many swaps between vectorized wirelength resyncs (float-drift guard;
 #: the integer-backed IR/density/omega terms never drift and never resync).
 WL_RESYNC_INTERVAL = 4096
+
+#: Slots the polish screens first on a side and after each accepted swap.
+SCREEN_WINDOW = 64
 
 
 class ArrayExchangeKernel:
@@ -105,19 +105,14 @@ class ArrayExchangeKernel:
 
         # -- normalizers: the exact model's own code paths, so the kernel
         # and the reference divide by bit-identical constants.
-        if split_networks:
-            raw = sum(
-                compact_ir_cost(
-                    supply_pad_fractions(design, baseline_assignments, net_type=nt)
-                )
-                for nt in (NetType.POWER, NetType.GROUND)
+        networks = (NetType.POWER, NetType.GROUND) if split_networks else (net_type,)
+        raw = sum(
+            compact_ir_cost(
+                supply_pad_fractions(design, baseline_assignments, net_type=nt)
             )
-        else:
-            raw = compact_ir_cost(
-                supply_pad_fractions(design, baseline_assignments, net_type=net_type)
-            )
+            for nt in networks
+        )
         self._ir_initial = max(raw, 1e-12)
-        self._omega_initial = max(omega_of_design(baseline_assignments, self.psi), 1)
         self._track_wl = self.weights.wirelength > 0
 
         # -- flat state, one block per side in design ring order
@@ -135,6 +130,9 @@ class ArrayExchangeKernel:
             )
             run_base += sum(wr.run_count for wr in arrays.watched)
             self.sides.append(arrays)
+            bad = arrays.tiers[(arrays.tiers < 1) | (arrays.tiers > self.psi)]
+            if len(bad):
+                raise ExchangeError(f"tier {int(bad[0])} outside 1..{self.psi}")
         self._total_runs = run_base
         self._ring = design.ring_slot_count()
         self._ring_sq = float(self._ring) * float(self._ring)
@@ -151,14 +149,15 @@ class ArrayExchangeKernel:
         # The wirelength normalizer is the vectorized flyline total that
         # measure() reports, not the exact model's per-net sum (they agree
         # to ~1e-15 relative).
-        self._wl_initial = 1.0
-        if self._track_wl:
-            self._wl_initial = max(self._exact_wirelength(), 1e-12)
+        self._wl_initial = (
+            max(self._exact_wirelength(), 1e-12) if self._track_wl else 1.0
+        )
         #: Observability counters (read by the exchanger's ``kernel.stats``
         #: telemetry event): total ``_swap`` calls and wirelength resyncs.
-        self.swap_count = 0
-        self.resync_count = 0
+        self.swap_count = self.resync_count = 0
         self._rebuild()
+        if self.psi > 1:
+            self._omega_initial = max(self._omega_total, 1)
 
     # -- state (re)construction ---------------------------------------------
 
@@ -212,8 +211,6 @@ class ArrayExchangeKernel:
             self._sumsq[cls] = int(np.sum(gaps * gaps)) + wrap * wrap
 
     def _rebuild_density(self) -> None:
-        from .state import row_run_counts
-
         deltas = np.zeros(self._total_runs, dtype=np.int64)
         for arrays in self.sides:
             for wr in arrays.watched:
@@ -231,21 +228,14 @@ class ArrayExchangeKernel:
         self._max_delta = int(values[-1]) if len(values) else 0
 
     def _rebuild_bonding(self) -> None:
-        psi = self.psi
-        self._group_zeros: List[np.ndarray] = []
-        total = 0
-        for arrays in self.sides:
-            tier_bits = np.left_shift(1, arrays.tiers[arrays.slot_net] - 1)
-            group_count = -(-arrays.slot_count // psi)
-            zeros = np.empty(group_count, dtype=np.int64)
-            for group in range(group_count):
-                mask = int(
-                    np.bitwise_or.reduce(tier_bits[group * psi : (group + 1) * psi])
-                )
-                zeros[group] = psi - bin(mask).count("1")
-            self._group_zeros.append(zeros)
-            total += int(zeros.sum())
-        self._omega_total = total
+        self._group_zeros = [
+            np.zeros(-(-arrays.slot_count // self.psi), dtype=np.int64)
+            for arrays in self.sides
+        ]
+        self._omega_total = 0
+        for q, zeros in enumerate(self._group_zeros):
+            for group in range(len(zeros)):
+                self._refresh_group(q, group)
 
     # -- annealer interface ---------------------------------------------------
 
@@ -285,9 +275,7 @@ class ArrayExchangeKernel:
 
     def cost(self) -> float:
         """Current Eq.-3 total, recomposed from the integer state in O(1)."""
-        raw = self._sumsq[0]
-        for cls in range(1, self._class_count):
-            raw += self._sumsq[cls]
+        raw = sum(self._sumsq)
         total = self.weights.ir * (raw / self._ring_sq / self._ir_initial)
         total += self.weights.density * float(self._max_delta)
         if self.psi > 1:
@@ -303,21 +291,18 @@ class ArrayExchangeKernel:
         drifting accumulator, so the report is a pure function of the
         current orders.
         """
-        weights = self.weights
-        raw = sum(self._sumsq)
         result = {
-            "ir": raw / self._ring_sq / self._ir_initial,
+            "ir": sum(self._sumsq) / self._ring_sq / self._ir_initial,
             "density": float(self._max_delta),
         }
-        total = weights.ir * result["ir"]
-        total += weights.density * result["density"]
         if self.psi > 1:
             result["bonding"] = self._omega_total / self._omega_initial
-            total += weights.bonding * result["bonding"]
         if self._track_wl:
             result["wirelength"] = self._exact_wirelength() / self._wl_initial
-            total += weights.wirelength * result["wirelength"]
-        result["total"] = total
+        # the weights are named like the terms; summed in cost() order
+        result["total"] = sum(
+            getattr(self.weights, term) * value for term, value in result.items()
+        )
         return result
 
     @property
@@ -379,14 +364,10 @@ class ArrayExchangeKernel:
         self.swap_count += 1
         arrays = self.sides[q]
         slot_net = arrays.slot_net
-        i = lo - 1
-        j = lo
-        net_a = int(slot_net[i])
-        net_b = int(slot_net[j])
-        slot_net[i] = net_b
-        slot_net[j] = net_a
-        arrays.net_slot[net_a] = j
-        arrays.net_slot[net_b] = i
+        i, j = lo - 1, lo
+        net_a, net_b = int(slot_net[i]), int(slot_net[j])
+        slot_net[i], slot_net[j] = net_b, net_a
+        arrays.net_slot[net_a], arrays.net_slot[net_b] = j, i
 
         # IR: at most one pad per tracked network moves by one ring slot
         class_a = int(arrays.supply_class[net_a])
@@ -398,32 +379,21 @@ class ArrayExchangeKernel:
             if class_b >= 0:
                 self._move_pad(class_b, position + 1, position)
 
-        # density: the passing net crosses one via of the higher row
-        row_a = int(arrays.rows[net_a])
-        row_b = int(arrays.rows[net_b])
-        if row_a > row_b:
-            via, leftward = net_a, True
-        else:
-            via, leftward = net_b, False
+        # density: the passing net crosses one via of the higher row; a
+        # via sat left moves the passing wire from run k+1 to run k
+        leftward = int(arrays.rows[net_a]) > int(arrays.rows[net_b])
+        via = net_a if leftward else net_b
         base = int(arrays.net_run_base[via])
         if base >= 0:
             k = base + int(arrays.tables.via_index[via])
-            if leftward:
-                # via sat left; the passing wire moved from run k+1 to run k
-                self._bump_run(k, 1)
-                self._bump_run(k + 1, -1)
-            else:
-                self._bump_run(k, -1)
-                self._bump_run(k + 1, 1)
+            step = 1 if leftward else -1
+            self._bump_run(k, step)
+            self._bump_run(k + 1, -step)
 
         # bonding: only group-straddling swaps change any OR-mask
-        if self.psi > 1:
-            psi = self.psi
-            group_i = i // psi
-            group_j = j // psi
-            if group_i != group_j:
-                self._refresh_group(q, group_i)
-                self._refresh_group(q, group_j)
+        if self.psi > 1 and j % self.psi == 0:
+            self._refresh_group(q, i // self.psi)
+            self._refresh_group(q, j // self.psi)
 
         if self._track_wl:
             self._wl_total += (
@@ -444,13 +414,11 @@ class ArrayExchangeKernel:
                 self.resync_count += 1
 
     def _move_pad(self, cls: int, position: int, new_position: int) -> None:
-        nxt = self._nxt[cls]
-        prv = self._prv[cls]
+        nxt, prv = self._nxt[cls], self._prv[cls]
         if self._pad_count[cls] == 1:
             nxt[new_position] = prv[new_position] = new_position
             return
-        left = int(prv[position])
-        right = int(nxt[position])
+        left, right = int(prv[position]), int(nxt[position])
         ring = self._ring
         old_l = (position - left) % ring
         old_r = (right - position) % ring
@@ -484,13 +452,9 @@ class ArrayExchangeKernel:
     def _refresh_group(self, q: int, group: int) -> None:
         arrays = self.sides[q]
         psi = self.psi
-        start = group * psi
-        stop = min(start + psi, arrays.slot_count)
         mask = 0
-        slot_net = arrays.slot_net
-        tiers = arrays.tiers
-        for slot in range(start, stop):
-            mask |= 1 << (int(tiers[slot_net[slot]]) - 1)
+        for tier in arrays.tiers[arrays.slot_net[group * psi : (group + 1) * psi]]:
+            mask |= 1 << (int(tier) - 1)
         zeros = psi - bin(mask).count("1")
         group_zeros = self._group_zeros[q]
         self._omega_total += zeros - int(group_zeros[group])
@@ -519,28 +483,94 @@ class ArrayExchangeKernel:
     def polish(self, passes: int) -> None:
         """Greedy sweep of every legal adjacent swap (see ``_polish``).
 
-        Semantically identical to the object loop's polish: same side
-        and slot order, same strict-improvement threshold, so both
-        converge to the same local optimum.
+        Same side and slot order and strict-improvement threshold as the
+        object loop, so both reach the same local optimum, but only the
+        swaps :meth:`_screen` flags run the exact swap/cost/revert step.
+        An accepted swap re-screens from the next slot; windows double
+        while nothing is accepted, so a fruitless pass makes no ``_swap``.
         """
         current = self.cost()
         for __ in range(passes):
             improved = False
             for q, arrays in enumerate(self.sides):
-                rows = arrays.rows
-                slot_net = arrays.slot_net
-                for lo in range(1, arrays.slot_count):
-                    if rows[int(slot_net[lo - 1])] == rows[int(slot_net[lo])]:
-                        continue
-                    self._swap(q, lo)
-                    candidate = self.cost()
-                    if candidate < current - 1e-12:
-                        current = candidate
-                        improved = True
-                    else:
+                start, width = 1, SCREEN_WINDOW
+                while start < arrays.slot_count:
+                    stop = min(start + width, arrays.slot_count)
+                    for lo in self._screen(q, start, stop).tolist():
                         self._swap(q, lo)
+                        candidate = self.cost()
+                        if candidate < current - 1e-12:
+                            current, improved = candidate, True
+                            start, width = lo + 1, SCREEN_WINDOW
+                            break
+                        self._swap(q, lo)
+                    else:
+                        start, width = stop, 2 * width
             if not improved:
                 break
+
+    def _screen(self, q: int, start: int, stop: int) -> np.ndarray:
+        """1-based ``lo`` in ``[start, stop)`` of the legal swaps of side *q*
+        that may lower the cost: screened delta below ``+1e-9`` (a superset
+        of the exact step's ``-1e-12``) and some integer term changed (else
+        ``cost()`` is bit-identical).  Omega (group-straddling swaps, psi >
+        1) and the wirelength guard are not screened: those swaps flag.
+        """
+        los, sumsq, density = self._screen_deltas(q, start, stop)
+        if self._track_wl:
+            return los
+        delta = self.weights.ir * (sumsq / self._ring_sq / self._ir_initial)
+        delta += self.weights.density * density
+        flagged = (delta < 1e-9) & ((sumsq != 0) | (density != 0))
+        if self.psi > 1:
+            flagged |= los % self.psi == 0
+        return los[flagged]
+
+    def _screen_deltas(self, q: int, start: int, stop: int):
+        """``(los, sumsq, density)``: the legal swaps of ``[start, stop)`` and
+        the exact change each makes to the IR gap sumsq and ``_max_delta``.
+
+        A pad with ring gaps ``gl``/``gr`` moving right changes the sumsq by
+        ``2 gl - 2 gr + 2``; a swap moves one wire between two runs, so the
+        new peak is ``max(others, v_up + 1, v_down - 1)``.
+        """
+        arrays = self.sides[q]
+        nets = arrays.slot_net[start - 1 : stop]
+        left, right = nets[:-1], nets[1:]
+        row_l, row_r = arrays.rows[left], arrays.rows[right]
+        los = np.arange(start, stop)
+
+        sumsq = np.zeros(len(los), dtype=np.int64)
+        supply = arrays.supply_class[nets]
+        positions = arrays.ring_offset + np.arange(start, stop + 1)
+        for cls in range(self._class_count):
+            if self._pad_count[cls] == 1:
+                continue
+            gl = (positions - self._prv[cls][positions]) % self._ring
+            gr = (self._nxt[cls][positions] - positions) % self._ring
+            rightward = 2 * (gl - gr) + 2
+            here = supply == cls
+            sumsq += np.where(here[:-1] & ~here[1:], rightward[:-1], 0)
+            sumsq += np.where(here[1:] & ~here[:-1], 4 - rightward[1:], 0)
+
+        # the wire of the lower-row net passes the via of the higher one
+        leftward = row_l > row_r
+        via = np.where(leftward, left, right)
+        base = arrays.net_run_base[via]
+        watched = base >= 0
+        k = np.where(watched, base + arrays.tables.via_index[via], 0)
+        v_up = self._run_delta[np.where(leftward, k, k + 1)]
+        v_down = self._run_delta[np.where(leftward, k + 1, k)]
+        # the other runs' peak: the peak while a third run holds it, else the
+        # next value below (none left means v_up is the peak: v_up + 1 wins)
+        peak = self._max_delta
+        at_peak = (v_up == peak).astype(np.int64) + (v_down == peak)
+        below = max((value for value in self._hist if value < peak), default=peak)
+        others = np.where(self._hist[peak] > at_peak, peak, below)
+        new_peak = np.maximum(np.maximum(others, v_up + 1), v_down - 1)
+        density = np.where(watched, new_peak - peak, 0)
+        legal = row_l != row_r
+        return los[legal], sumsq[legal], density[legal]
 
     # -- boundary conversions ----------------------------------------------------
 
@@ -554,11 +584,10 @@ class ArrayExchangeKernel:
 
     def assignments(self) -> Dict:
         """Materialize the current state as ``{side: Assignment}``."""
+        orders = self.orders()
         return {
-            arrays.side: Assignment(arrays.quadrant, order)
-            for (arrays, order) in (
-                (arrays, self.orders()[arrays.side]) for arrays in self.sides
-            )
+            arrays.side: Assignment(arrays.quadrant, orders[arrays.side])
+            for arrays in self.sides
         }
 
     def self_check(self, baseline_assignments: Dict):

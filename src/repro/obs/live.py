@@ -154,9 +154,6 @@ class LiveGauge:
         with self._lock:
             self.value = (self.value or 0.0) + amount
 
-    def dec(self, amount: float = 1) -> None:
-        self.inc(-amount)
-
     def snapshot(self) -> dict:
         return {"kind": self.kind, "value": self.value}
 

@@ -916,15 +916,3 @@ class ServeHandle:
         if self.port is None:
             raise RuntimeError("daemon not started")
         return self.config.host, self.port
-
-
-def wait_for_port(host: str, port: int, timeout: float = 10.0) -> bool:
-    """Poll until a TCP connect succeeds (subprocess smoke harnesses)."""
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        try:
-            with socket.create_connection((host, port), timeout=1.0):
-                return True
-        except OSError:
-            time.sleep(0.05)
-    return False

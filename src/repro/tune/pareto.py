@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Sequence
 
+from ..obs.curves import _scale
+
 
 def dominates(a: Dict, b: Dict) -> bool:
     """True when *a* is at least as good on both axes and better on one."""
@@ -65,15 +67,6 @@ def knee_point(front: Sequence[Dict]) -> Optional[Dict]:
         return math.hypot(dc, dt)
 
     return min(front, key=distance)
-
-
-def _scale(values: Sequence[float], lo: float, hi: float,
-           out_lo: float, out_hi: float) -> List[float]:
-    span = hi - lo
-    if span <= 0:
-        return [(out_lo + out_hi) / 2.0 for _ in values]
-    k = (out_hi - out_lo) / span
-    return [out_lo + (v - lo) * k for v in values]
 
 
 def _schedule_label(cell: Dict) -> str:

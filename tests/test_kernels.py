@@ -25,6 +25,7 @@ from repro.exchange import (
     CostWeights,
     ExchangeCost,
     FingerPadExchanger,
+    GreedyExchanger,
     MoveGenerator,
     SAParams,
     omega_of_design,
@@ -323,6 +324,153 @@ class TestStateStructures:
         }
         materialized = kernel.assignments()
         assert {s: a.order for s, a in materialized.items()} == kernel.orders()
+
+
+def random_walk(kernel, moves, seed):
+    """Apply *moves* random proposals: a mid-anneal state with run deltas."""
+    rng = random.Random(seed)
+    for __ in range(moves):
+        move = kernel.propose(rng)
+        if move is not None:
+            kernel.apply(move)
+
+
+def reference_polish(kernel, passes):
+    """The per-slot swap/cost/revert loop the screened polish replaces."""
+    current = kernel.cost()
+    for __ in range(passes):
+        improved = False
+        for q, arrays in enumerate(kernel.sides):
+            for lo in range(1, arrays.slot_count):
+                slot_net = arrays.slot_net
+                if arrays.rows[slot_net[lo - 1]] == arrays.rows[slot_net[lo]]:
+                    continue
+                kernel._swap(q, lo)
+                candidate = kernel.cost()
+                if candidate < current - 1e-12:
+                    current, improved = candidate, True
+                else:
+                    kernel._swap(q, lo)
+        if not improved:
+            break
+
+
+class TestPolishScreen:
+    """The screened polish against measured swaps and the per-slot loop."""
+
+    @staticmethod
+    def assert_screen_exact(kernel):
+        """Every legal swap's screened deltas equal a swap/measure/unswap."""
+        density_deltas = []
+        for q, arrays in enumerate(kernel.sides):
+            los, sumsq, density = kernel._screen_deltas(q, 1, arrays.slot_count)
+            slot_net = arrays.slot_net
+            legal = [
+                lo for lo in range(1, arrays.slot_count)
+                if arrays.rows[slot_net[lo - 1]] != arrays.rows[slot_net[lo]]
+            ]
+            assert los.tolist() == legal
+            for lo, screened_ir, screened_id in zip(los, sumsq, density):
+                ir, peak = sum(kernel._sumsq), kernel._max_delta
+                kernel._swap(q, int(lo))
+                measured = (sum(kernel._sumsq) - ir, kernel._max_delta - peak)
+                kernel._swap(q, int(lo))
+                assert measured == (screened_ir, screened_id)
+            density_deltas.extend(density.tolist())
+        return density_deltas
+
+    @pytest.mark.parametrize("tiers,index", ALL_CONFIGS)
+    @pytest.mark.parametrize(
+        "split,all_rows", [(False, True), (True, True), (False, False)]
+    )
+    def test_deltas_match_measured_swaps(self, tiers, index, split, all_rows):
+        design = circuit_design(index, tiers)
+        baseline = assign_design(DFAAssigner(), design)
+        kernel = ArrayExchangeKernel(
+            design, baseline, split_networks=split, track_all_rows=all_rows
+        )
+        self.assert_screen_exact(kernel)
+        random_walk(kernel, 300, seed=index)
+        self.assert_screen_exact(kernel)
+
+    def test_deltas_match_at_1792_fingers(self):
+        design = build_design(CircuitSpec(name="s1792", finger_count=1792), seed=0)
+        kernel = ArrayExchangeKernel(design, assign_design(DFAAssigner(), design))
+        assert set(self.assert_screen_exact(kernel)) == {1}
+        random_walk(kernel, 4000, seed=1)
+        assert kernel._max_delta > 0
+        # a peak run lowered by the swap: the "count at max" branch ran
+        assert min(self.assert_screen_exact(kernel)) < 0
+
+    @pytest.mark.parametrize("tiers,index", ALL_CONFIGS)
+    def test_greedy_matches_exact_object_loop(self, tiers, index):
+        design = circuit_design(index, tiers)
+        starts = [(assign_design(DFAAssigner(), design), None)]
+        if index <= 3:
+            starts.append((
+                assign_design(RandomAssigner(), design, seed=3),
+                CostWeights(density=0.0),
+            ))
+        for baseline, weights in starts:
+            exchanger = GreedyExchanger(design, weights=weights)
+            kernel_result = exchanger.run(baseline)
+            object_result = exchanger._run_object(
+                baseline, 0, cost_class=ExchangeCost
+            )
+            assert {s: a.order for s, a in kernel_result.after.items()} == {
+                s: a.order for s, a in object_result.after.items()
+            }
+
+    def test_greedy_matches_exact_object_loop_with_wirelength(self):
+        design = circuit_design(2, 4)
+        baseline = assign_design(RandomAssigner(), design, seed=3)
+        exchanger = GreedyExchanger(design, weights=CostWeights(wirelength=0.5))
+        kernel_result = exchanger.run(baseline)
+        object_result = exchanger._run_object(baseline, 0, cost_class=ExchangeCost)
+        assert {s: a.order for s, a in kernel_result.after.items()} == {
+            s: a.order for s, a in object_result.after.items()
+        }
+
+    @pytest.mark.parametrize("tiers,index", ALL_CONFIGS + [(1, 1792)])
+    @pytest.mark.parametrize("weights", [None, CostWeights(density=0.0)])
+    @pytest.mark.parametrize(
+        "assigner", [DFAAssigner(), RandomAssigner()], ids=["dfa", "random"]
+    )
+    def test_polish_matches_per_slot_loop(self, tiers, index, weights, assigner):
+        design = (
+            circuit_design(index, tiers) if index <= 5
+            else build_design(CircuitSpec(name="s", finger_count=index), seed=0)
+        )
+        baseline = assign_design(assigner, design, seed=3)
+        screened = ArrayExchangeKernel(design, baseline, weights=weights)
+        reference = ArrayExchangeKernel(design, baseline, weights=weights)
+        screened.polish(50)
+        reference_polish(reference, 50)
+        assert screened.orders() == reference.orders()
+        assert screened.cost() == reference.cost()
+        if weights is not None and isinstance(assigner, RandomAssigner):
+            moved = sum(
+                a != b
+                for side, order in screened.orders().items()
+                for a, b in zip(order, baseline[side].order)
+            )
+            assert moved > (400 if index == 1792 else 0)  # re-screens ran
+
+    def test_polish_at_dfa_start_swaps_nothing(self):
+        design = build_design(CircuitSpec(name="s16k", finger_count=16384), seed=0)
+        kernel = ArrayExchangeKernel(design, assign_design(DFAAssigner(), design))
+        before = kernel.swap_count
+        kernel.polish(20)
+        assert kernel.swap_count == before
+
+    @pytest.mark.parametrize("tiers", [1, 4])
+    def test_out_of_range_tier_rejected(self, tiers):
+        design = circuit_design(1, tiers)
+        baseline = assign_design(DFAAssigner(), design)
+        net = next(iter(design.quadrants[design.sides[0]].netlist))
+        object.__setattr__(net, "tier", tiers + 1)
+        with pytest.raises(ExchangeError, match=f"outside 1..{tiers}"):
+            ArrayExchangeKernel(design, baseline)
 
 
 class TestBackendResolution:
