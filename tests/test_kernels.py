@@ -406,7 +406,7 @@ class TestPolishScreen:
     def test_greedy_matches_exact_object_loop(self, tiers, index):
         design = circuit_design(index, tiers)
         starts = [(assign_design(DFAAssigner(), design), None)]
-        if index <= 3:
+        if index <= 4:  # circuit 5's exact object polish alone takes ~5 s
             starts.append((
                 assign_design(RandomAssigner(), design, seed=3),
                 CostWeights(density=0.0),
