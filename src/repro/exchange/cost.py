@@ -138,13 +138,19 @@ class ExchangeCost:
 
     def breakdown(self, assignments: Dict) -> Dict[str, float]:
         """Per-term values for reports and debugging."""
-        result = {
-            "ir": self.ir_term(assignments),
-            "density": self.density_term(assignments),
-        }
-        if self.psi > 1:
-            result["bonding"] = self.bonding_term(assignments)
-        if self.weights.wirelength > 0:
-            result["wirelength"] = self.wirelength_term(assignments)
+        result = eq3_terms(self, assignments)
         result["total"] = self.total(assignments)
         return result
+
+
+def eq3_terms(cost, assignments: Dict) -> Dict[str, float]:
+    """The Eq.-3 terms *cost* weighs, keyed like ``breakdown``."""
+    result = {
+        "ir": cost.ir_term(assignments),
+        "density": cost.density_term(assignments),
+    }
+    if cost.psi > 1:
+        result["bonding"] = cost.bonding_term(assignments)
+    if cost.weights.wirelength > 0:
+        result["wirelength"] = cost.wirelength_term(assignments)
+    return result

@@ -17,7 +17,7 @@ from typing import Dict, Optional
 from ..errors import NonFiniteCostError
 from ..package import NetType
 from .bonding import omega_of_assignment
-from .cost import CostWeights, ExchangeCost
+from .cost import CostWeights, ExchangeCost, eq3_terms
 
 
 class CachedExchangeCost:
@@ -143,14 +143,7 @@ class CachedExchangeCost:
         if not math.isfinite(value):
             # Name the poisoned term: a NaN total silently accepted by the
             # SA loop would corrupt every later delta.
-            terms = {
-                "ir": self.ir_term(assignments),
-                "density": self.density_term(assignments),
-            }
-            if self.psi > 1:
-                terms["bonding"] = self.bonding_term(assignments)
-            if self.weights.wirelength > 0:
-                terms["wirelength"] = self.wirelength_term(assignments)
+            terms = eq3_terms(self, assignments)
             bad = [name for name, term in terms.items() if not math.isfinite(term)]
             raise NonFiniteCostError(
                 f"exchange cost is non-finite ({value!r}); "
@@ -160,14 +153,7 @@ class CachedExchangeCost:
 
     def breakdown(self, assignments: Dict) -> Dict[str, float]:
         self.mark_all_dirty()
-        result = {
-            "ir": self.ir_term(assignments),
-            "density": self.density_term(assignments),
-        }
-        if self.psi > 1:
-            result["bonding"] = self.bonding_term(assignments)
-        if self.weights.wirelength > 0:
-            result["wirelength"] = self.wirelength_term(assignments)
+        result = eq3_terms(self, assignments)
         result["total"] = self.total(assignments)
         return result
 

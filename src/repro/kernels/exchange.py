@@ -1,14 +1,15 @@
 """Array-backed exchange kernel: O(1) adjacent-swap deltas for the SA loop.
 
-The production exchange at every design size.  It mirrors the object
-model as flat arrays (see :mod:`.state`) and keeps every Eq.-3 ingredient
-incrementally, where ``CachedExchangeCost`` re-derives a dirtied side in
-O(rows * n) per move:
+``CachedExchangeCost`` re-derives a dirtied side's pad fractions, section
+runs and omega groups on every ``total()`` call — O(rows * n) per move,
+which caps the annealer near the paper's 448-finger circuits.  This kernel
+mirrors the object model as flat arrays (see :mod:`.state`) and keeps every
+Eq.-3 ingredient incrementally:
 
 * **IR term** — the compact proxy is the sum of squared circular gaps
-  between supply-pad ring positions.  Ring positions live on the uniform
-  grid ``(g - 0.5) / N``, so gaps are *integers* in slot units and the
-  proxy is ``sum(gap^2) / N^2`` exactly.  A doubly-linked ring over the
+  between supply-pad ring positions.  All ring positions live on the
+  uniform grid ``(g - 0.5) / N``, so gaps are *integers* in slot units and
+  the proxy is ``sum(gap^2) / N^2`` exactly.  A doubly-linked ring over the
   occupied positions per supply network turns a pad move into a four-gap
   integer update — no floating-point accumulation, hence no drift, ever.
 * **density term (Eq. 2)** — an adjacent swap crosses at most one via of
@@ -17,22 +18,27 @@ O(rows * n) per move:
   ``max_c (I_c_new - I_c_ini)`` in O(1) amortized.
 * **bonding term (omega)** — tier bitmasks per finger group; a swap only
   re-ORs the (at most) two groups it straddles, O(psi).
-* **wirelength guard** (optional) — four ``hypot`` calls per move on the
-  quadrant's :class:`~repro.package.QuadrantTables` flyline geometry, with
-  a periodic vectorized resync to keep float accumulation below 1e-12.
+* **wirelength guard** (optional) — per-net flyline lengths recomputed
+  from the flyline geometry of the quadrant's static
+  :class:`~repro.package.QuadrantTables`, four ``hypot`` calls per move,
+  with a periodic vectorized resync to keep float accumulation below 1e-12.
+
+The kernel is the production exchange at every design size and reports
+for itself: :meth:`ArrayExchangeKernel.breakdown` returns the Eq.-3 terms
+keyed like ``ExchangeCost.breakdown`` and :attr:`ArrayExchangeKernel.omega`
+the bonding metric, both in O(1) apart from the exact wirelength resync.
 
 Because the IR and density deltas are exact integers, the zero-temperature
-:meth:`ArrayExchangeKernel.polish` screens a whole window of swaps in one
+:meth:`ArrayExchangeKernel.polish` screens every legal swap of a side in one
 NumPy pass and runs the exact step only where the cost could drop.
-:meth:`~ArrayExchangeKernel.breakdown` and :attr:`~ArrayExchangeKernel.omega`
-report the Eq.-3 terms keyed like ``ExchangeCost.breakdown``.
 
 Move proposal replicates :class:`~repro.exchange.moves.MoveGenerator`
-call-for-call (candidate ordering, ``rng`` consumption, legality), so a
-shared seed yields the *identical* accept/reject trace and final
-assignment as the object-model reference — ``tests/test_kernels.py``
-proves it on every Table-2/Table-3 circuit and cross-checks kernel totals
-against ``verify.checkers``' exact Eq.-3 re-derivation to 1e-9.
+call-for-call (same candidate ordering, same ``rng`` consumption, same
+legality rule), so a shared seed yields the *identical* accept/reject
+trace and final assignment as the object-model reference —
+``tests/test_kernels.py`` proves it on every Table-2/Table-3 circuit and
+cross-checks kernel totals against ``verify.checkers``' exact Eq.-3
+re-derivation to 1e-9.
 """
 
 from __future__ import annotations
@@ -53,9 +59,6 @@ from .state import SideArrays, build_side_arrays, row_run_counts
 #: How many swaps between vectorized wirelength resyncs (float-drift guard;
 #: the integer-backed IR/density/omega terms never drift and never resync).
 WL_RESYNC_INTERVAL = 4096
-
-#: Slots the polish screens first on a side and after each accepted swap.
-SCREEN_WINDOW = 64
 
 
 class ArrayExchangeKernel:
@@ -149,12 +152,13 @@ class ArrayExchangeKernel:
         # The wirelength normalizer is the vectorized flyline total that
         # measure() reports, not the exact model's per-net sum (they agree
         # to ~1e-15 relative).
-        self._wl_initial = (
-            max(self._exact_wirelength(), 1e-12) if self._track_wl else 1.0
-        )
+        self._wl_initial = 1.0
+        if self._track_wl:
+            self._wl_initial = max(self._exact_wirelength(), 1e-12)
         #: Observability counters (read by the exchanger's ``kernel.stats``
         #: telemetry event): total ``_swap`` calls and wirelength resyncs.
-        self.swap_count = self.resync_count = 0
+        self.swap_count = 0
+        self.resync_count = 0
         self._rebuild()
         if self.psi > 1:
             self._omega_initial = max(self._omega_total, 1)
@@ -275,7 +279,9 @@ class ArrayExchangeKernel:
 
     def cost(self) -> float:
         """Current Eq.-3 total, recomposed from the integer state in O(1)."""
-        raw = sum(self._sumsq)
+        raw = self._sumsq[0]
+        for cls in range(1, self._class_count):
+            raw += self._sumsq[cls]
         total = self.weights.ir * (raw / self._ring_sq / self._ir_initial)
         total += self.weights.density * float(self._max_delta)
         if self.psi > 1:
@@ -291,18 +297,21 @@ class ArrayExchangeKernel:
         drifting accumulator, so the report is a pure function of the
         current orders.
         """
+        weights = self.weights
+        raw = sum(self._sumsq)
         result = {
-            "ir": sum(self._sumsq) / self._ring_sq / self._ir_initial,
+            "ir": raw / self._ring_sq / self._ir_initial,
             "density": float(self._max_delta),
         }
+        total = weights.ir * result["ir"]
+        total += weights.density * result["density"]
         if self.psi > 1:
             result["bonding"] = self._omega_total / self._omega_initial
+            total += weights.bonding * result["bonding"]
         if self._track_wl:
             result["wirelength"] = self._exact_wirelength() / self._wl_initial
-        # the weights are named like the terms; summed in cost() order
-        result["total"] = sum(
-            getattr(self.weights, term) * value for term, value in result.items()
-        )
+            total += weights.wirelength * result["wirelength"]
+        result["total"] = total
         return result
 
     @property
@@ -364,10 +373,14 @@ class ArrayExchangeKernel:
         self.swap_count += 1
         arrays = self.sides[q]
         slot_net = arrays.slot_net
-        i, j = lo - 1, lo
-        net_a, net_b = int(slot_net[i]), int(slot_net[j])
-        slot_net[i], slot_net[j] = net_b, net_a
-        arrays.net_slot[net_a], arrays.net_slot[net_b] = j, i
+        i = lo - 1
+        j = lo
+        net_a = int(slot_net[i])
+        net_b = int(slot_net[j])
+        slot_net[i] = net_b
+        slot_net[j] = net_a
+        arrays.net_slot[net_a] = j
+        arrays.net_slot[net_b] = i
 
         # IR: at most one pad per tracked network moves by one ring slot
         class_a = int(arrays.supply_class[net_a])
@@ -379,21 +392,32 @@ class ArrayExchangeKernel:
             if class_b >= 0:
                 self._move_pad(class_b, position + 1, position)
 
-        # density: the passing net crosses one via of the higher row; a
-        # via sat left moves the passing wire from run k+1 to run k
-        leftward = int(arrays.rows[net_a]) > int(arrays.rows[net_b])
-        via = net_a if leftward else net_b
+        # density: the passing net crosses one via of the higher row
+        row_a = int(arrays.rows[net_a])
+        row_b = int(arrays.rows[net_b])
+        if row_a > row_b:
+            via, leftward = net_a, True
+        else:
+            via, leftward = net_b, False
         base = int(arrays.net_run_base[via])
         if base >= 0:
             k = base + int(arrays.tables.via_index[via])
-            step = 1 if leftward else -1
-            self._bump_run(k, step)
-            self._bump_run(k + 1, -step)
+            if leftward:
+                # via sat left; the passing wire moved from run k+1 to run k
+                self._bump_run(k, 1)
+                self._bump_run(k + 1, -1)
+            else:
+                self._bump_run(k, -1)
+                self._bump_run(k + 1, 1)
 
         # bonding: only group-straddling swaps change any OR-mask
-        if self.psi > 1 and j % self.psi == 0:
-            self._refresh_group(q, i // self.psi)
-            self._refresh_group(q, j // self.psi)
+        if self.psi > 1:
+            psi = self.psi
+            group_i = i // psi
+            group_j = j // psi
+            if group_i != group_j:
+                self._refresh_group(q, group_i)
+                self._refresh_group(q, group_j)
 
         if self._track_wl:
             self._wl_total += (
@@ -414,11 +438,13 @@ class ArrayExchangeKernel:
                 self.resync_count += 1
 
     def _move_pad(self, cls: int, position: int, new_position: int) -> None:
-        nxt, prv = self._nxt[cls], self._prv[cls]
+        nxt = self._nxt[cls]
+        prv = self._prv[cls]
         if self._pad_count[cls] == 1:
             nxt[new_position] = prv[new_position] = new_position
             return
-        left, right = int(prv[position]), int(nxt[position])
+        left = int(prv[position])
+        right = int(nxt[position])
         ring = self._ring
         old_l = (position - left) % ring
         old_r = (right - position) % ring
@@ -452,9 +478,13 @@ class ArrayExchangeKernel:
     def _refresh_group(self, q: int, group: int) -> None:
         arrays = self.sides[q]
         psi = self.psi
+        start = group * psi
+        stop = min(start + psi, arrays.slot_count)
         mask = 0
-        for tier in arrays.tiers[arrays.slot_net[group * psi : (group + 1) * psi]]:
-            mask |= 1 << (int(tier) - 1)
+        slot_net = arrays.slot_net
+        tiers = arrays.tiers
+        for slot in range(start, stop):
+            mask |= 1 << (int(tiers[slot_net[slot]]) - 1)
         zeros = psi - bin(mask).count("1")
         group_zeros = self._group_zeros[q]
         self._omega_total += zeros - int(group_zeros[group])
@@ -486,37 +516,36 @@ class ArrayExchangeKernel:
         Same side and slot order and strict-improvement threshold as the
         object loop, so both reach the same local optimum, but only the
         swaps :meth:`_screen` flags run the exact swap/cost/revert step.
-        An accepted swap re-screens from the next slot; windows double
-        while nothing is accepted, so a fruitless pass makes no ``_swap``.
+        An accepted swap re-screens the rest of the side, and a pass that
+        flags nothing ends the polish without a single ``_swap``.
         """
         current = self.cost()
         for __ in range(passes):
             improved = False
-            for q, arrays in enumerate(self.sides):
-                start, width = 1, SCREEN_WINDOW
-                while start < arrays.slot_count:
-                    stop = min(start + width, arrays.slot_count)
-                    for lo in self._screen(q, start, stop).tolist():
-                        self._swap(q, lo)
-                        candidate = self.cost()
-                        if candidate < current - 1e-12:
-                            current, improved = candidate, True
-                            start, width = lo + 1, SCREEN_WINDOW
-                            break
-                        self._swap(q, lo)
+            for q in range(len(self.sides)):
+                pending = self._screen(q, 1).tolist()[::-1]  # pop() in slot order
+                while pending:
+                    lo = pending.pop()
+                    self._swap(q, lo)
+                    candidate = self.cost()
+                    if candidate < current - 1e-12:
+                        current = candidate
+                        improved = True
+                        pending = self._screen(q, lo + 1).tolist()[::-1]
                     else:
-                        start, width = stop, 2 * width
+                        self._swap(q, lo)
             if not improved:
                 break
 
-    def _screen(self, q: int, start: int, stop: int) -> np.ndarray:
-        """1-based ``lo`` in ``[start, stop)`` of the legal swaps of side *q*
-        that may lower the cost: screened delta below ``+1e-9`` (a superset
-        of the exact step's ``-1e-12``) and some integer term changed (else
-        ``cost()`` is bit-identical).  Omega (group-straddling swaps, psi >
-        1) and the wirelength guard are not screened: those swaps flag.
+    def _screen(self, q: int, start: int) -> np.ndarray:
+        """Legal swaps ``lo >= start`` of side *q* that may lower the cost.
+
+        Flagged: a screened delta below ``+1e-9`` (a superset of the exact
+        step's ``-1e-12``) with some integer term changed (else ``cost()``
+        is bit-identical), and every swap whose omega (group-straddling,
+        psi > 1) or wirelength change the screen does not price.
         """
-        los, sumsq, density = self._screen_deltas(q, start, stop)
+        los, sumsq, density = self._screen_deltas(q, start)
         if self._track_wl:
             return los
         delta = self.weights.ir * (sumsq / self._ring_sq / self._ir_initial)
@@ -526,16 +555,17 @@ class ArrayExchangeKernel:
             flagged |= los % self.psi == 0
         return los[flagged]
 
-    def _screen_deltas(self, q: int, start: int, stop: int):
-        """``(los, sumsq, density)``: the legal swaps of ``[start, stop)`` and
-        the exact change each makes to the IR gap sumsq and ``_max_delta``.
+    def _screen_deltas(self, q: int, start: int):
+        """``(los, sumsq, density)``: the legal swaps ``lo >= start`` of side
+        *q* and the exact change each makes to the IR gap sumsq and ``_max_delta``.
 
         A pad with ring gaps ``gl``/``gr`` moving right changes the sumsq by
         ``2 gl - 2 gr + 2``; a swap moves one wire between two runs, so the
         new peak is ``max(others, v_up + 1, v_down - 1)``.
         """
         arrays = self.sides[q]
-        nets = arrays.slot_net[start - 1 : stop]
+        stop = arrays.slot_count
+        nets = arrays.slot_net[start - 1 :]
         left, right = nets[:-1], nets[1:]
         row_l, row_r = arrays.rows[left], arrays.rows[right]
         los = np.arange(start, stop)

@@ -130,8 +130,9 @@ def curve_to_json(curve: dict) -> dict:
     }
 
 
-def _scale(values: Sequence[float], lo: float, hi: float,
+def rescale(values: Sequence[float], lo: float, hi: float,
            out_lo: float, out_hi: float) -> List[float]:
+    """Map *values* from ``[lo, hi]`` onto ``[out_lo, out_hi]`` linearly."""
     span = hi - lo
     if span <= 0:
         return [(out_lo + out_hi) / 2.0 for _ in values]
@@ -166,10 +167,10 @@ def render_curve_svg(curve: dict, width: int = 720, height: int = 360) -> str:
     accepts = [min(1.0, max(0.0, p[ACCEPTANCE])) for p in points]
     finite = [v for v in costs + bests if math.isfinite(v)]
     lo, hi = (min(finite), max(finite)) if finite else (0.0, 1.0)
-    xs = _scale(moves, min(moves), max(moves), x0, x1)
-    cost_ys = _scale(costs, lo, hi, y0, y1)
-    best_ys = _scale(bests, lo, hi, y0, y1)
-    accept_ys = _scale(accepts, 0.0, 1.0, y0, y1)
+    xs = rescale(moves, min(moves), max(moves), x0, x1)
+    cost_ys = rescale(costs, lo, hi, y0, y1)
+    best_ys = rescale(bests, lo, hi, y0, y1)
+    accept_ys = rescale(accepts, 0.0, 1.0, y0, y1)
     title = curve.get("name", "anneal")
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '

@@ -38,10 +38,7 @@ import platform
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .bench import BENCH_SCHEMA, make_bench_record
-
-#: Version of one history line (extends the bench record with ``host``).
-LEDGER_SCHEMA = BENCH_SCHEMA
+from .bench import make_bench_record
 
 #: Default history location, relative to the repo root.
 DEFAULT_HISTORY = Path("results") / "BENCH_history.jsonl"

@@ -33,7 +33,6 @@ _BOOL = (bool,)
 _LIST = (list,)
 _DICT = (dict,)
 _OPT_STR = (str, type(None))
-_ANY = (object,)
 
 #: ``event name -> {field: allowed types}`` for *required* fields.  Every
 #: event additionally requires ``event`` (str) and ``t`` (number >= 0),

@@ -21,10 +21,8 @@ printed); 2 = harness error (daemon did not start / kill window missed).
 
 from __future__ import annotations
 
-import argparse
 import json
 import signal
-import subprocess
 import sys
 import tempfile
 import time
@@ -34,7 +32,7 @@ from typing import Dict, List, Optional
 from ..runtime.journal import JobJournal
 from ..runtime.spec import JobSpec, resolve_job_type
 from .client import ServeClient
-from .smoke import start_daemon
+from .smoke import smoke_main, start_daemon, stop_daemon
 
 #: ~1 s per job on a development machine: slow enough that the SIGKILL
 #: reliably lands while later probes are still in flight, fast enough
@@ -218,13 +216,7 @@ def run_crash_smoke(verbose: bool = True) -> List[str]:
                 "resubmit did not trigger a re-execution",
             )
         finally:
-            process.send_signal(signal.SIGTERM)
-            try:
-                returncode = process.wait(timeout=30)
-            except subprocess.TimeoutExpired:
-                process.kill()
-                returncode = process.wait()
-                problems.append("daemon did not exit within 30s of SIGTERM")
+            returncode = stop_daemon(process, problems)
         check(
             returncode == 128 + signal.SIGTERM,
             f"second daemon drains cleanly on SIGTERM (got {returncode})",
@@ -233,19 +225,8 @@ def run_crash_smoke(verbose: bool = True) -> List[str]:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--quiet", action="store_true")
-    args = parser.parse_args(argv)
-    try:
-        problems = run_crash_smoke(verbose=not args.quiet)
-    except RuntimeError as exc:
-        print(f"crash smoke harness error: {exc}", file=sys.stderr)
-        return 2
-    if problems:
-        print(f"crash smoke: {len(problems)} failure(s)", file=sys.stderr)
-        return 1
-    print("crash smoke: all checks passed")
-    return 0
+    return smoke_main(argv, __doc__, "crash smoke", run_crash_smoke,
+                      workers=False)
 
 
 if __name__ == "__main__":

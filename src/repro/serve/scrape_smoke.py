@@ -19,7 +19,6 @@ Exit code 0 = all checks passed; 1 = a check failed; 2 = harness error.
 
 from __future__ import annotations
 
-import argparse
 import signal
 import subprocess
 import sys
@@ -28,7 +27,7 @@ from typing import List, Optional
 
 from ..obs.live import validate_exposition
 from .client import ServeClient
-from .smoke import SMOKE_PARAMS, start_daemon
+from .smoke import SMOKE_PARAMS, smoke_main, start_daemon, stop_daemon
 
 
 def run_scrape_smoke(workers: int = 1, verbose: bool = True) -> List[str]:
@@ -117,13 +116,7 @@ def run_scrape_smoke(workers: int = 1, verbose: bool = True) -> List[str]:
                 "/v1/stats carries the metric families as JSON",
             )
         finally:
-            process.send_signal(signal.SIGTERM)
-            try:
-                returncode = process.wait(timeout=30)
-            except subprocess.TimeoutExpired:
-                process.kill()
-                returncode = process.wait()
-                problems.append("daemon did not exit within 30s of SIGTERM")
+            returncode = stop_daemon(process, problems)
         check(
             returncode == 128 + signal.SIGTERM,
             f"SIGTERM exits 143 (got {returncode})",
@@ -132,21 +125,8 @@ def run_scrape_smoke(workers: int = 1, verbose: bool = True) -> List[str]:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workers", type=int, default=1)
-    parser.add_argument("--quiet", action="store_true")
-    args = parser.parse_args(argv)
-    try:
-        problems = run_scrape_smoke(workers=args.workers,
-                                    verbose=not args.quiet)
-    except (RuntimeError, subprocess.SubprocessError) as exc:
-        print(f"scrape smoke harness error: {exc}", file=sys.stderr)
-        return 2
-    if problems:
-        print(f"scrape smoke: {len(problems)} failure(s)", file=sys.stderr)
-        return 1
-    print("scrape smoke: all checks passed")
-    return 0
+    return smoke_main(argv, __doc__, "scrape smoke", run_scrape_smoke,
+                      harness_errors=(RuntimeError, subprocess.SubprocessError))
 
 
 if __name__ == "__main__":

@@ -86,6 +86,18 @@ def start_daemon(cache_dir: str, workers: int = 1, timeout: float = 30.0,
     raise RuntimeError(f"daemon did not announce a port within {timeout}s")
 
 
+def stop_daemon(process, problems: List[str]) -> int:
+    """SIGTERM the daemon and return its exit code (killed after 30 s)."""
+    process.send_signal(signal.SIGTERM)
+    try:
+        return process.wait(timeout=30)
+    except subprocess.TimeoutExpired:
+        process.kill()
+        returncode = process.wait()
+        problems.append("daemon did not exit within 30s of SIGTERM")
+        return returncode
+
+
 def run_smoke(workers: int = 1, verbose: bool = True) -> List[str]:
     """All smoke checks against one daemon; returns failure messages."""
     problems: List[str] = []
@@ -148,13 +160,7 @@ def run_smoke(workers: int = 1, verbose: bool = True) -> List[str]:
                 "request counter advanced",
             )
         finally:
-            process.send_signal(signal.SIGTERM)
-            try:
-                returncode = process.wait(timeout=30)
-            except subprocess.TimeoutExpired:
-                process.kill()
-                returncode = process.wait()
-                problems.append("daemon did not exit within 30s of SIGTERM")
+            returncode = stop_daemon(process, problems)
         check(
             returncode == 128 + signal.SIGTERM,
             f"SIGTERM exits 143 (got {returncode})",
@@ -162,21 +168,30 @@ def run_smoke(workers: int = 1, verbose: bool = True) -> List[str]:
     return problems
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workers", type=int, default=1)
+def smoke_main(argv, doc: str, label: str, run, workers: bool = True,
+               harness_errors=(RuntimeError,)) -> int:
+    """The smokes' shared CLI: exit 0 when every check passes, 1 when some
+    fail and 2 when the harness itself breaks."""
+    parser = argparse.ArgumentParser(description=doc.splitlines()[0])
+    if workers:
+        parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--quiet", action="store_true")
     args = parser.parse_args(argv)
+    kwargs = {"workers": args.workers} if workers else {}
     try:
-        problems = run_smoke(workers=args.workers, verbose=not args.quiet)
-    except RuntimeError as exc:
-        print(f"smoke harness error: {exc}", file=sys.stderr)
+        problems = run(verbose=not args.quiet, **kwargs)
+    except harness_errors as exc:
+        print(f"{label} harness error: {exc}", file=sys.stderr)
         return 2
     if problems:
-        print(f"serve smoke: {len(problems)} failure(s)", file=sys.stderr)
+        print(f"{label}: {len(problems)} failure(s)", file=sys.stderr)
         return 1
-    print("serve smoke: all checks passed")
+    print(f"{label}: all checks passed")
     return 0
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    return smoke_main(argv, __doc__, "serve smoke", run_smoke)
 
 
 if __name__ == "__main__":

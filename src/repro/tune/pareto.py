@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Sequence
 
-from ..obs.curves import _scale
+from ..obs.curves import rescale
 
 
 def dominates(a: Dict, b: Dict) -> bool:
@@ -95,8 +95,8 @@ def render_pareto_svg(report: Dict, width: int = 720, height: int = 420) -> str:
     costs = [cell["cost"] for cell in cells] or [0.0, 1.0]
     t_lo, t_hi = min(times), max(times)
     c_lo, c_hi = min(costs), max(costs)
-    xs = _scale(times, t_lo, t_hi, x0, x1)
-    ys = _scale(costs, c_lo, c_hi, y0, y1)
+    xs = rescale(times, t_lo, t_hi, x0, x1)
+    ys = rescale(costs, c_lo, c_hi, y0, y1)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
         f'height="{height}" viewBox="0 0 {width} {height}">',
@@ -121,8 +121,8 @@ def render_pareto_svg(report: Dict, width: int = 720, height: int = 420) -> str:
             f'<circle cx="{x:.1f}" cy="{y:.1f}" r="3.5" fill="#9aa0a6"/>'
         )
     if front:
-        fx = _scale([cell["seconds"] for cell in front], t_lo, t_hi, x0, x1)
-        fy = _scale([cell["cost"] for cell in front], c_lo, c_hi, y0, y1)
+        fx = rescale([cell["seconds"] for cell in front], t_lo, t_hi, x0, x1)
+        fy = rescale([cell["cost"] for cell in front], c_lo, c_hi, y0, y1)
         coords = " ".join(f"{x:.1f},{y:.1f}" for x, y in zip(fx, fy))
         parts.append(
             f'<polyline fill="none" stroke="#d62728" stroke-width="1.5" '
@@ -133,8 +133,8 @@ def render_pareto_svg(report: Dict, width: int = 720, height: int = 420) -> str:
                 f'<circle cx="{x:.1f}" cy="{y:.1f}" r="4" fill="#d62728"/>'
             )
     if knee is not None:
-        (kx,) = _scale([knee["seconds"]], t_lo, t_hi, x0, x1)
-        (ky,) = _scale([knee["cost"]], c_lo, c_hi, y0, y1)
+        (kx,) = rescale([knee["seconds"]], t_lo, t_hi, x0, x1)
+        (ky,) = rescale([knee["cost"]], c_lo, c_hi, y0, y1)
         parts.extend(
             [
                 f'<circle cx="{kx:.1f}" cy="{ky:.1f}" r="7" fill="none" '

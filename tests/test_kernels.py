@@ -363,7 +363,7 @@ class TestPolishScreen:
         """Every legal swap's screened deltas equal a swap/measure/unswap."""
         density_deltas = []
         for q, arrays in enumerate(kernel.sides):
-            los, sumsq, density = kernel._screen_deltas(q, 1, arrays.slot_count)
+            los, sumsq, density = kernel._screen_deltas(q, 1)
             slot_net = arrays.slot_net
             legal = [
                 lo for lo in range(1, arrays.slot_count)
