@@ -119,12 +119,12 @@ fuzz-smoke:
 		--corpus tests/data/fuzz_corpus
 
 report:
-	python -m repro report --output results/REPORT.md
+	PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) python -m repro report --output results/REPORT.md
 
 examples:
 	@for script in examples/*.py; do \
 		echo "== $$script"; \
-		python $$script > /dev/null || exit 1; \
+		PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) python $$script > /dev/null || exit 1; \
 	done; echo "all examples ran"
 
 clean:

@@ -15,10 +15,13 @@ Commands
 ``check-trace <trace>`` validate a trace against the event schema + span tree
 ``bench run``           execute registered benches into the perf ledger
 ``bench compare``       gate the latest ledger records against a baseline
+``report``              regenerate the whole evaluation as one markdown file
 
-``table2``/``table3``/``fig6`` accept ``--jobs N`` to fan their independent
-jobs out over worker processes; ``run`` adds the result cache and a JSONL
-telemetry trace on top (see docs/runtime.md).  ``--verify {off,strict,
+``table2``/``table3``/``fig6`` run their workload on the job engine, exactly
+as ``run <workload> --no-cache`` does, and ``report`` runs the same
+workloads; ``--jobs N`` fans the independent jobs out over worker
+processes, and ``run`` adds the result cache and a JSONL telemetry trace
+on top (see docs/runtime.md).  ``--verify {off,strict,
 repair}`` makes the engine re-check every job result (fresh or cached)
 before it is tabulated: ``strict`` fails on an invalid value, ``repair``
 recomputes it (see docs/robustness.md).  ``run --trace out.jsonl`` writes a
@@ -36,7 +39,7 @@ import signal as _signal
 import sys
 
 from .assign import DFAAssigner, IFAAssigner, RandomAssigner
-from .flow import compare_assigners, render_table1, render_table2
+from .flow import render_table1
 from .routing import MonotonicRouter, max_density_of_design
 
 
@@ -565,53 +568,17 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_table2(args) -> int:
-    if args.jobs > 1 or args.verify != "off":
-        return _run_workload(
-            "table2", seed=args.seed, jobs=args.jobs, verify=args.verify
-        )
-    from .circuits import build_table1_designs
-
-    table = compare_assigners(build_table1_designs(), seed=args.seed)
-    print(render_table2(table))
-    return 0
+    return _run_workload("table2", seed=args.seed, jobs=args.jobs, verify=args.verify)
 
 
 def _cmd_table3(args) -> int:
-    if args.jobs > 1 or args.verify != "off":
-        return _run_workload(
-            "table3",
-            seed=args.seed,
-            grid=args.grid,
-            jobs=args.jobs,
-            verify=args.verify,
-        )
-    from .circuits import build_design, table1_circuit
-    from .flow import CoDesignFlow, render_table3
-    from .power import PowerGridConfig
-
-    flow = CoDesignFlow(grid_config=PowerGridConfig(size=args.grid))
-    results = {}
-    for tiers in (1, 4):
-        runs = {}
-        for index in range(1, 6):
-            design = build_design(table1_circuit(index, tier_count=tiers), seed=0)
-            print(f"running {design.name} (psi={tiers})...", file=sys.stderr)
-            runs[design.name] = flow.run(design, seed=args.seed)
-        results[tiers] = runs
-    print(render_table3(results[1], results[4]))
-    return 0
+    return _run_workload(
+        "table3", seed=args.seed, grid=args.grid, jobs=args.jobs, verify=args.verify
+    )
 
 
 def _cmd_fig6(args) -> int:
-    if args.jobs > 1 or args.verify != "off":
-        return _run_workload(
-            "fig6", seed=args.seed, jobs=args.jobs, verify=args.verify
-        )
-    from .circuits import run_fig6
-    from .flow import render_fig6
-
-    print(render_fig6(run_fig6(seed=args.seed)))
-    return 0
+    return _run_workload("fig6", seed=args.seed, jobs=args.jobs, verify=args.verify)
 
 
 def _cmd_fuzz(args) -> int:
@@ -841,6 +808,17 @@ def _add_verify_flag(parser, default: str = "off") -> None:
     )
 
 
+def _add_workload_flags(parser, grid: bool = True) -> None:
+    """``--seed``/``--grid`` for a workload; omitted means its default."""
+    parser.add_argument(
+        "--seed", type=int, default=None, help="base seed (workload default if omitted)"
+    )
+    if grid:
+        parser.add_argument(
+            "--grid", type=int, default=None, help="power grid size (workload default)"
+        )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -865,12 +843,7 @@ def build_parser() -> argparse.ArgumentParser:
     prun.add_argument(
         "--jobs", type=_positive_int, default=1, help="worker processes"
     )
-    prun.add_argument(
-        "--seed", type=int, default=None, help="base seed (workload default if omitted)"
-    )
-    prun.add_argument(
-        "--grid", type=int, default=None, help="power grid size (workload default)"
-    )
+    _add_workload_flags(prun)
     prun.add_argument(
         "--cache",
         action=argparse.BooleanOptionalAction,
@@ -1078,30 +1051,24 @@ def build_parser() -> argparse.ArgumentParser:
         choices=sorted(WORKLOADS),
         help="workload to verify (default: smoke)",
     )
-    pchk.add_argument(
-        "--seed", type=int, default=None, help="base seed (workload default if omitted)"
-    )
-    pchk.add_argument(
-        "--grid", type=int, default=None, help="power grid size (workload default)"
-    )
+    _add_workload_flags(pchk)
     _add_verify_flag(pchk, default="strict")
     pchk.set_defaults(func=_cmd_check)
 
     p2 = sub.add_parser("table2", help="run the Table-2 comparison")
-    p2.add_argument("--seed", type=int, default=42)
+    _add_workload_flags(p2, grid=False)
     p2.add_argument("--jobs", type=_positive_int, default=1, help="worker processes")
     _add_verify_flag(p2)
     p2.set_defaults(func=_cmd_table2)
 
     p3 = sub.add_parser("table3", help="run the Table-3 exchange experiment")
-    p3.add_argument("--seed", type=int, default=7)
-    p3.add_argument("--grid", type=int, default=32, help="power grid size")
+    _add_workload_flags(p3)
     p3.add_argument("--jobs", type=_positive_int, default=1, help="worker processes")
     _add_verify_flag(p3)
     p3.set_defaults(func=_cmd_table3)
 
     p6 = sub.add_parser("fig6", help="run the Fig.-6 real-chip comparison")
-    p6.add_argument("--seed", type=int, default=2009)
+    _add_workload_flags(p6, grid=False)
     p6.add_argument("--jobs", type=_positive_int, default=1, help="worker processes")
     _add_verify_flag(p6)
     p6.set_defaults(func=_cmd_fig6)
@@ -1243,8 +1210,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pp = sub.add_parser("report", help="regenerate the whole evaluation")
     pp.add_argument("--output", default="results/REPORT.md")
-    pp.add_argument("--seed", type=int, default=7)
-    pp.add_argument("--grid", type=int, default=32)
+    _add_workload_flags(pp)  # the table3 workload's seed and grid
     pp.add_argument(
         "--quick", action="store_true", help="skip the slow Table-3/Fig-6 runs"
     )

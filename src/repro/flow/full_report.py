@@ -3,48 +3,55 @@
 ``generate_report`` runs Tables 1-3 and the Fig.-5/6/10/12/13 experiments
 and writes a single self-contained markdown report — what
 ``python -m repro report`` produces and what a reviewer would diff against
-the paper.
+the paper.  Tables 2-3 and Fig. 6 are the ``table2``/``table3``/``fig6``
+workloads of :mod:`repro.runtime.workloads`, run on the job engine and
+rendered exactly as ``repro run`` prints them.
 """
 
 from __future__ import annotations
 
 import time
 from pathlib import Path
-from typing import Optional, Union
-
-from ..exchange import SAParams
-from ..power import PowerGridConfig
+from typing import List, Optional, Union
 
 
 def generate_report(
     path: Union[str, Path],
-    seed: int = 7,
-    grid_size: int = 32,
-    sa_params: Optional[SAParams] = None,
+    seed: Optional[int] = None,
+    grid_size: Optional[int] = None,
     include_table3: bool = True,
     include_fig6: bool = True,
 ) -> str:
     """Run the evaluation and write a markdown report to *path*.
 
+    *seed* and *grid_size* apply to Table 3 and default to the ``table3``
+    workload's; Table 2 and Fig. 6 run at their workloads' defaults.
     ``include_table3`` / ``include_fig6`` let callers skip the two slow
-    experiments (several minutes together) for a quick smoke report.
-    Returns the report text.
+    experiments for a quick smoke report.  Returns the report text.
     """
     from ..assign import Assignment, DFAAssigner, IFAAssigner
-    from ..circuits import (
-        FIG5_DFA_ORDER,
-        FIG5_RANDOM_ORDER,
-        build_design,
-        build_table1_designs,
-        fig5_quadrant,
-        fig13_quadrant,
-        run_fig6,
-        table1_circuit,
-    )
+    from ..circuits import FIG5_RANDOM_ORDER, fig5_quadrant, fig13_quadrant
     from ..routing import max_density
-    from .codesign import CoDesignFlow
-    from .compare import compare_assigners
-    from .report import render_fig6, render_table1, render_table2, render_table3
+    from ..runtime import JobEngine
+    from ..runtime.workloads import WORKLOADS
+    from .report import render_table1
+
+    path = Path(path)
+    # Fail on an unwritable destination before the evaluation runs.
+    path.parent.mkdir(parents=True, exist_ok=True)
+    seed = WORKLOADS["table3"].default_seed if seed is None else seed
+    grid_size = WORKLOADS["table3"].default_grid if grid_size is None else grid_size
+    engine = JobEngine()
+
+    def workload_section(
+        name: str, run_seed: Optional[int] = None, run_grid: Optional[int] = None
+    ) -> List[str]:
+        workload = WORKLOADS[name]
+        specs = workload.build(
+            workload.default_seed if run_seed is None else run_seed,
+            workload.default_grid if run_grid is None else run_grid,
+        )
+        return ["```", workload.render(engine.run(specs)), "```"]
 
     start = time.time()
     sections = ["# Reproduction report", ""]
@@ -57,30 +64,15 @@ def generate_report(
     sections.append(render_table1())
     sections.append("```")
 
-    sections += ["", "## Table 2 — Random / IFA / DFA", "", "```"]
-    table2 = compare_assigners(build_table1_designs(), seed=42)
-    sections.append(render_table2(table2))
-    sections.append("```")
+    sections += ["", "## Table 2 — Random / IFA / DFA", ""]
+    sections += workload_section("table2")
     sections.append(
         "paper averages: density 1 / 0.63 / 0.36, wirelength 1 / 0.88 / 0.82"
     )
 
     if include_table3:
-        sections += ["", "## Table 3 — finger/pad exchange", "", "```"]
-        flow = CoDesignFlow(
-            sa_params=sa_params, grid_config=PowerGridConfig(size=grid_size)
-        )
-        results = {}
-        for tiers in (1, 4):
-            runs = {}
-            for index in range(1, 6):
-                design = build_design(
-                    table1_circuit(index, tier_count=tiers), seed=0
-                )
-                runs[design.name] = flow.run(design, seed=seed)
-            results[tiers] = runs
-        sections.append(render_table3(results[1], results[4]))
-        sections.append("```")
+        sections += ["", "## Table 3 — finger/pad exchange", ""]
+        sections += workload_section("table3", seed, grid_size)
         sections.append(
             "paper averages: IR 10.61% (2-D), 4.58% (psi=4), bonding 15.66%"
         )
@@ -104,11 +96,10 @@ def generate_report(
     )
 
     if include_fig6:
-        sections += ["", "## Fig. 6 — real-chip pad plans", "", "```"]
-        sections.append(render_fig6(run_fig6(seed=2009)))
-        sections.append("```")
+        sections += ["", "## Fig. 6 — real-chip pad plans", ""]
+        sections += workload_section("fig6")
 
     sections += ["", f"_elapsed: {time.time() - start:.1f} s_", ""]
     text = "\n".join(sections)
-    Path(path).write_text(text)
+    path.write_text(text)
     return text

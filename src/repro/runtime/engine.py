@@ -597,16 +597,27 @@ class JobEngine:
                     handle = open_span(
                         "job", telemetry, job=specs[i].label(), kind=specs[i].kind
                     )
+                    try:
+                        futures[i] = pool.submit(
+                            _execute_job,
+                            specs[i].kind,
+                            dict(specs[i].params),
+                            specs[i].derived_seed(self.base_seed),
+                            handle.span_id if handle is not None else None,
+                            time.time(),
+                            self.profile,
+                        )
+                    except BrokenProcessPool:
+                        # A job submitted earlier killed its worker before
+                        # this loop finished.  Degrade as a broken
+                        # future.result() does: the jobs already handed
+                        # to the dead pool re-run serially, unread.
+                        if handle is not None:
+                            handle.close(status="degraded")
+                        futures.clear()
+                        degraded = True
+                        break
                     handles[i] = handle
-                    futures[i] = pool.submit(
-                        _execute_job,
-                        specs[i].kind,
-                        dict(specs[i].params),
-                        specs[i].derived_seed(self.base_seed),
-                        handle.span_id if handle is not None else None,
-                        time.time(),
-                        self.profile,
-                    )
                 failed: List[int] = []
                 for i, future in futures.items():
                     spec = specs[i]

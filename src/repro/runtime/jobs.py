@@ -2,10 +2,10 @@
 
 Each runner is a pure function ``(params, seed) -> JSON value`` so that a
 job can execute in a worker process and its result can live in the disk
-cache.  Runners call exactly the same underlying primitives as the legacy
-serial paths (``flow.compare_assigners``, ``CoDesignFlow.run``,
-``circuits.run_fig6``), so engine results are bit-identical to a serial
-run with the same seeds.
+cache.  Runners call the library primitives directly (``assign_design``
+with the assigners ``flow.compare_assigners`` uses, ``CoDesignFlow.run``,
+``circuits.run_fig6``), so engine results are bit-identical to calling
+those with the same seeds.
 
 This module imports the flow/circuits layers and is loaded lazily by the
 job-type registry (``spec.resolve_job_type``).

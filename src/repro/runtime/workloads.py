@@ -2,10 +2,11 @@
 
 A workload turns CLI-level intent ("run Table 2") into the flat job list
 the engine executes, and turns the outcome list back into the paper-style
-rendering the serial commands print.  Because the spec builders iterate in
-the same circuit-major order as the legacy serial loops, the rendered
-tables are identical whether the jobs ran serially, in parallel, or came
-out of the cache.
+rendering.  This is the one place each paper experiment is enumerated,
+seeded and rendered: ``repro run``, ``repro table2``/``table3``/``fig6``,
+``repro report`` and the benches all go through it.  Outcomes come back
+in spec order, so the rendered tables are identical whether the jobs ran
+serially, in parallel, or came out of the cache.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ def table2_specs(seed: int = 42, grid: int = 32) -> List[JobSpec]:
 
 
 def table2_table(outcomes: Sequence[JobOutcome]):
-    """Rebuild the :class:`ComparisonTable` the serial path produces."""
+    """Rebuild the :class:`ComparisonTable` that ``compare_assigners`` returns."""
     from ..flow import AssignerRun, ComparisonTable
 
     table = ComparisonTable(baseline="Random")

@@ -79,6 +79,12 @@ class TestCommands:
         assert "# Reproduction report" in text
         assert "Table 2" in text
 
+    def test_report_creates_the_output_directory(self, capsys, tmp_path):
+        output = tmp_path / "a" / "b" / "REPORT.md"
+        assert main(["report", "--quick", "--output", str(output)]) == 0
+        assert capsys.readouterr().out == f"report written to {output}\n"
+        assert output.read_text().startswith("# Reproduction report")
+
     def test_unknown_method_rejected(self, design_file):
         with pytest.raises(SystemExit):
             main(["assign", design_file, "--method", "bogus"])

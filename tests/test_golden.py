@@ -4,7 +4,9 @@
 densities, wirelengths) the committed algorithms produce on them.  Any
 behavioural change to the assigners, the density model or the router shows
 up here first — intentional changes must regenerate the corpus (see the
-module-level script in the repo history / DESIGN.md).
+module-level script in the repo history / DESIGN.md).  ``cli_table2.txt``
+and ``cli_table3.txt`` are the stdout of ``repro table2`` / ``repro table3``
+at their default seeds and grid.
 """
 
 from repro.assign import assign_design
@@ -62,3 +64,13 @@ def test_golden_designs_load_clean():
         design = load(name)
         assert design.total_net_count > 0
         assert check_design(design).is_clean
+
+
+@pytest.mark.parametrize("command", ["table2", "table3"])
+def test_cli_table_stdout(command, capsys):
+    """``repro table2``/``table3`` at their defaults print the frozen tables."""
+    from repro.cli import main
+
+    assert main([command]) == 0
+    expected = (DATA_DIR / f"cli_{command}.txt").read_text()
+    assert capsys.readouterr().out == expected

@@ -233,6 +233,49 @@ class TestEngineParallel:
         assert all(outcome.value == {"survived": True} for outcome in outcomes)
         assert telemetry.events_named("engine.degraded")
 
+    def test_degrades_to_serial_when_submit_finds_the_pool_broken(self):
+        """A worker that dies before the submit loop ends makes the next
+        ``pool.submit`` raise; the run must still degrade to serial."""
+        from concurrent.futures import Future
+        from concurrent.futures.process import BrokenProcessPool
+
+        class _DyingPool:
+            """Breaks after the first submission, as a killed worker does."""
+
+            def __init__(self):
+                self.submits = 0
+
+            def submit(self, *args):
+                self.submits += 1
+                if self.submits > 1:
+                    raise BrokenProcessPool("a worker died during submission")
+                future = Future()
+                future.set_exception(BrokenProcessPool("worker died"))
+                return future
+
+            def shutdown(self, wait=True, cancel_futures=False):
+                pass
+
+        pool = _DyingPool()
+        telemetry = Telemetry()
+        engine = JobEngine(jobs=2, retries=0, telemetry=telemetry)
+        engine._acquire_pool = lambda needed: pool
+        specs = [JobSpec("echo", {"value": v}, seed=v) for v in range(3)]
+        outcomes = engine.run(specs)
+        assert pool.submits == 2
+        assert [outcome.value for outcome in outcomes] == [
+            {"value": v, "seed": v} for v in range(3)
+        ]
+        assert [outcome.attempts for outcome in outcomes] == [1, 1, 1]
+        (degraded,) = telemetry.events_named("engine.degraded")
+        assert degraded["unresolved"] == 3
+        statuses = [
+            event.get("status")
+            for event in telemetry.events_named("span.end")
+            if event["name"] == "job"
+        ]
+        assert statuses.count("degraded") == 2
+
 
 class TestDeterminism:
     def test_codesign_jobs1_vs_jobs4(self):
