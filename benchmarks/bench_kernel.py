@@ -19,7 +19,9 @@ every legal swap uphill), and exits non-zero otherwise (< 30 s wall clock).
 
 ``ledger_metrics`` (``repro bench run --only kernel``) times the polish at
 16,384 fingers from the DFA start, where a screened polish finds nothing
-and so should cost a few array passes and no ``_swap`` call.
+and so should cost a few array passes and no ``_swap`` call, and the
+microseconds per move of one full default-schedule anneal (the annealer's
+own loop, so the figure is what a co-design run pays per move).
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ import time
 import numpy as np
 
 from repro.assign import DFAAssigner, assign_design
-from repro.circuits import CircuitSpec, build_design
-from repro.exchange import CachedExchangeCost, MoveGenerator
+from repro.circuits import CircuitSpec, build_design, table1_circuit
+from repro.exchange import CachedExchangeCost, MoveGenerator, SAParams, SimulatedAnnealer
 from repro.kernels import ArrayExchangeKernel
 
 FULL_COUNTS = (448, 1792, 7168, 14336)
@@ -51,8 +53,13 @@ OBJECT_MOVES = {448: 1500, 1792: 400, 7168: 60, 14336: 20}
 LEDGER_COUNT = 16384
 LEDGER_REPEATS = 3
 LEDGER_SEED = 0
-LEDGER_GATED = {f"polish_ms_{LEDGER_COUNT}": "lower"}
+LEDGER_GATED = {f"polish_ms_{LEDGER_COUNT}": "lower", "anneal_us_per_move": "lower"}
 POLISH_PASSES = 20
+#: Per-move ledger point: a default ``SAParams`` anneal of Table-1 circuit
+#: ``ANNEAL_CIRCUIT`` at ``ANNEAL_TIERS`` tiers (so the omega term runs)
+#: from the DFA start, the median of ``LEDGER_REPEATS`` fresh kernels.
+ANNEAL_CIRCUIT = 5
+ANNEAL_TIERS = 4
 
 
 def _timed_walk(propose, apply, cost, moves: int, seed: int = 0) -> float:
@@ -110,12 +117,32 @@ def polish_from_dfa(count: int):
     return (time.perf_counter() - start) * 1000.0, kernel.swap_count
 
 
+def anneal_us_per_move() -> float:
+    """Microseconds per proposed move of one default-schedule anneal."""
+    design = build_design(
+        table1_circuit(ANNEAL_CIRCUIT, tier_count=ANNEAL_TIERS), seed=LEDGER_SEED
+    )
+    kernel = ArrayExchangeKernel(design, assign_design(DFAAssigner(), design))
+    start = time.perf_counter()
+    stats = SimulatedAnnealer(SAParams()).optimize(
+        kernel.propose,
+        kernel.apply,
+        kernel.undo,
+        kernel.cost,
+        seed=LEDGER_SEED,
+        snapshot=kernel.snapshot,
+    )
+    return (time.perf_counter() - start) * 1e6 / stats.proposed
+
+
 def ledger_metrics() -> dict:
     runs = [polish_from_dfa(LEDGER_COUNT) for __ in range(LEDGER_REPEATS)]
     milliseconds = float(np.median([ms for ms, __ in runs]))
+    per_move = [anneal_us_per_move() for __ in range(LEDGER_REPEATS)]
     return {
         f"polish_ms_{LEDGER_COUNT}": round(milliseconds, 3),
         f"polish_swaps_{LEDGER_COUNT}": max(swaps for __, swaps in runs),
+        "anneal_us_per_move": round(float(np.median(per_move)), 3),
     }
 
 

@@ -148,7 +148,8 @@ class SimulatedAnnealer:
         ``checkpoint.interval`` proposed moves the full run state (problem
         state via ``checkpoint.capture``, rng Mersenne state, accumulated
         temperature, mid-step counters, stats, best-so-far) is atomically
-        persisted.  When a valid checkpoint exists at start, the run
+        persisted; the best-so-far snapshot goes into the JSON document
+        as it is, so it must be JSON-able.  When a valid checkpoint exists at start, the run
         resumes from it and replays the exact continuation the
         uninterrupted run would have produced — move for move, bit for
         bit.  A completed run clears its checkpoint.
@@ -223,8 +224,7 @@ class SimulatedAnnealer:
                 stats.initial_cost = payload["initial_cost"]
                 stats.best_cost = payload["best_cost"]
                 stats.cost_trace = list(payload["cost_trace"])
-                best = payload.get("best")
-                best_snapshot = checkpoint.decode(best) if best is not None else None
+                best_snapshot = payload.get("best")
                 current_cost = payload["current_cost"]
                 temperature = payload["temperature"]
                 start_move = int(payload["move_in_step"])
@@ -322,11 +322,7 @@ class SimulatedAnnealer:
                             "step_accepted": step_accepted,
                             "rng": [rng_state[0], list(rng_state[1]), rng_state[2]],
                             "state": checkpoint.capture(),
-                            "best": (
-                                checkpoint.encode(best_snapshot)
-                                if best_snapshot is not None
-                                else None
-                            ),
+                            "best": best_snapshot,
                         }
                     )
             start_move = 0

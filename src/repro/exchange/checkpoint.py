@@ -1,7 +1,7 @@
 """Crash-safe SA checkpointing: periodic atomic snapshots of a live anneal.
 
 A checkpoint captures *everything* the annealer's future depends on —
-the kernel's full state (slot arrays plus the wirelength float
+the kernel's full state (slot lists plus the wirelength float
 accumulator and its resync phase), the complete ``random.Random``
 Mersenne state, the accumulated temperature float, the mid-step move
 index, every stats counter, the cost trace, and the best-so-far snapshot
@@ -30,7 +30,7 @@ import hashlib
 import json
 import os
 from pathlib import Path
-from typing import Callable, List, Optional
+from typing import Callable, Optional
 
 from ..errors import CheckpointIntegrityError
 from ..runtime.atomic import atomic_write_text
@@ -50,22 +50,6 @@ class SimulatedCrash(RuntimeError):
     """
 
 
-def _identity(value):
-    return value
-
-
-def encode_arrays(arrays) -> List[list]:
-    """Slot-array snapshots (list of int64 ndarrays) → JSON lists."""
-    return [[int(value) for value in array] for array in arrays]
-
-
-def decode_arrays(data):
-    """Inverse of :func:`encode_arrays` (lazy numpy import)."""
-    import numpy as np
-
-    return [np.asarray(array, dtype=np.int64) for array in data]
-
-
 def _payload_digest(payload: dict) -> str:
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
@@ -76,10 +60,9 @@ class SACheckpointer:
 
     ``interval`` is the cadence in proposed moves.  ``run_key`` names the
     run (seed + schedule + baseline); the exchanger derives one
-    automatically when left ``None``.  ``capture``/``restore`` and
-    ``encode``/``decode`` are bound by the problem layer (see
-    :meth:`bind`): capture/restore move the *full* kernel state,
-    encode/decode translate best-so-far snapshots to and from JSON.
+    automatically when left ``None``.  ``capture``/``restore`` are bound
+    by the problem layer (see :meth:`bind`) and move the *full* kernel
+    state; best-so-far snapshots (plain int lists) are stored as they are.
 
     ``interrupt_after_saves=N`` raises :class:`SimulatedCrash` once the
     Nth save has durably landed — the fault-injection hook the fuzz
@@ -106,21 +89,13 @@ class SACheckpointer:
         self.saves = 0
         self.capture: Optional[Callable[[], dict]] = None
         self.restore: Optional[Callable[[dict], None]] = None
-        self.encode: Callable = _identity
-        self.decode: Callable = _identity
 
     def bind(
-        self,
-        capture: Callable[[], dict],
-        restore: Callable[[dict], None],
-        encode: Callable = _identity,
-        decode: Callable = _identity,
+        self, capture: Callable[[], dict], restore: Callable[[dict], None]
     ) -> "SACheckpointer":
         """Attach the problem layer's state movers; returns self."""
         self.capture = capture
         self.restore = restore
-        self.encode = encode
-        self.decode = decode
         return self
 
     # -- persistence -------------------------------------------------------

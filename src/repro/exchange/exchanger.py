@@ -125,13 +125,8 @@ class FingerPadExchanger:
             omega_before = kernel.omega
         checkpoint = self.checkpoint
         if checkpoint is not None:
-            from .checkpoint import decode_arrays, encode_arrays
-
             checkpoint.bind(
-                capture=kernel.checkpoint_state,
-                restore=kernel.restore_checkpoint,
-                encode=encode_arrays,
-                decode=decode_arrays,
+                capture=kernel.checkpoint_state, restore=kernel.restore_checkpoint
             )
             if checkpoint.run_key is None:
                 checkpoint.run_key = self._checkpoint_run_key(kernel, seed)

@@ -39,7 +39,6 @@ import random
 from typing import Dict, List, Optional, Tuple
 
 from .annealer import BEST_IMPROVEMENT_EPS
-from .checkpoint import encode_arrays
 
 
 def _rng_to_json(rng: random.Random) -> list:
@@ -62,7 +61,7 @@ def initial_chain_state(kernel, seed: Optional[int], temperature: float) -> Dict
         "temperature": float(temperature),
         "current_cost": cost,
         "best_cost": cost,
-        "best": encode_arrays(kernel.snapshot()),
+        "best": kernel.snapshot(),
         "proposed": 0,
         "infeasible": 0,
         "accepted": 0,
@@ -129,7 +128,7 @@ def run_segment(
                     accepted_uphill += 1
                 if current_cost < best_cost - BEST_IMPROVEMENT_EPS:
                     best_cost = current_cost
-                    best = encode_arrays(kernel.snapshot())
+                    best = kernel.snapshot()  # plain lists: JSON as is
             else:
                 kernel.undo(move)
         acceptance = step_accepted / step_proposed if step_proposed else 0.0

@@ -3,8 +3,8 @@
 ``CachedExchangeCost`` re-derives a dirtied side's pad fractions, section
 runs and omega groups on every ``total()`` call — O(rows * n) per move,
 which caps the annealer near the paper's 448-finger circuits.  This kernel
-mirrors the object model as flat arrays (see :mod:`.state`) and keeps every
-Eq.-3 ingredient incrementally:
+mirrors the object model as flat index-addressed state (see :mod:`.state`)
+and keeps every Eq.-3 ingredient incrementally:
 
 * **IR term** — the compact proxy is the sum of squared circular gaps
   between supply-pad ring positions.  All ring positions live on the
@@ -22,6 +22,10 @@ Eq.-3 ingredient incrementally:
   from the flyline geometry of the quadrant's static
   :class:`~repro.package.QuadrantTables`, four ``hypot`` calls per move,
   with a periodic vectorized resync to keep float accumulation below 1e-12.
+
+Everything one move touches (permutations, ring links, run deltas, group
+masks, per-net lookups) is a Python ``list`` of ``int``, so a move boxes
+no NumPy scalar; the O(n) passes build the arrays they need where they run.
 
 The kernel is the production exchange at every design size and reports
 for itself: :meth:`ArrayExchangeKernel.breakdown` returns the Eq.-3 terms
@@ -45,6 +49,7 @@ from __future__ import annotations
 
 import math
 import random
+from itertools import repeat
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -54,7 +59,7 @@ from ..errors import ExchangeError
 from ..exchange.cost import CostWeights
 from ..package import NetType
 from ..power import compact_ir_cost, supply_pad_fractions
-from .state import SideArrays, build_side_arrays, row_run_counts
+from .state import SideArrays, build_side_arrays, int_array, row_run_counts
 
 #: How many swaps between vectorized wirelength resyncs (float-drift guard;
 #: the integer-backed IR/density/omega terms never drift and never resync).
@@ -121,6 +126,9 @@ class ArrayExchangeKernel:
         # -- flat state, one block per side in design ring order
         self.sides: List[SideArrays] = []
         run_base = 0
+        # one shared int object per slot, net and via index value
+        ints = list(range(max(design.quadrants[s].net_count for s in design.sides)))
+        self._ints = ints
         for side in design.sides:
             arrays = build_side_arrays(
                 design,
@@ -130,12 +138,13 @@ class ArrayExchangeKernel:
                 split_networks,
                 track_all_rows,
                 run_base,
+                ints,
             )
             run_base += sum(wr.run_count for wr in arrays.watched)
             self.sides.append(arrays)
-            bad = arrays.tiers[(arrays.tiers < 1) | (arrays.tiers > self.psi)]
-            if len(bad):
-                raise ExchangeError(f"tier {int(bad[0])} outside 1..{self.psi}")
+            bad = set(arrays.tiers).difference(range(1, self.psi + 1))
+            if bad:
+                raise ExchangeError(f"tier {min(bad)} outside 1..{self.psi}")
         self._total_runs = run_base
         self._ring = design.ring_slot_count()
         self._ring_sq = float(self._ring) * float(self._ring)
@@ -145,9 +154,9 @@ class ArrayExchangeKernel:
         # (side, net) pairs in design order, supply-only for 2-D ICs
         self._candidates: List[Tuple[int, int]] = []
         for q, arrays in enumerate(self.sides):
-            supply = arrays.tables.type_nets[None]
+            supply = arrays.tables.type_nets[None].tolist()
             nets = supply if power_only else range(arrays.slot_count)
-            self._candidates.extend((q, int(index)) for index in nets)
+            self._candidates.extend(zip(repeat(q), map(ints.__getitem__, nets)))
 
         # The wirelength normalizer is the vectorized flyline total that
         # measure() reports, not the exact model's per-net sum (they agree
@@ -166,31 +175,29 @@ class ArrayExchangeKernel:
     # -- state (re)construction ---------------------------------------------
 
     def _rebuild(self) -> None:
-        """Recompute every incremental structure from the slot arrays."""
-        self._rebuild_ir()
-        self._rebuild_density()
+        """Recompute every incremental structure from the slot lists."""
+        net_slots = [int_array(arrays.net_slot) for arrays in self.sides]
+        self._rebuild_ir(net_slots)
+        self._rebuild_density(net_slots)
         if self.psi > 1:
             self._rebuild_bonding()
         if self._track_wl:
             self._wl_total = self._exact_wirelength()
             self._wl_since_resync = 0
 
-    def _rebuild_ir(self) -> None:
+    def _rebuild_ir(self, net_slots: List[np.ndarray]) -> None:
         ring = self._ring
         # per network class: pad count, integer sum of squared gaps, and a
         # doubly-linked circular list over occupied global ring positions
         self._pad_count = [0] * self._class_count
         self._sumsq = [0] * self._class_count
-        self._nxt = [np.zeros(ring + 1, dtype=np.int64) for _ in range(self._class_count)]
-        self._prv = [np.zeros(ring + 1, dtype=np.int64) for _ in range(self._class_count)]
+        self._nxt, self._prv = [], []
         for cls in range(self._class_count):
             positions = np.sort(
                 np.concatenate(
                     [
-                        arrays.ring_offset
-                        + arrays.net_slot[arrays.supply_class == cls]
-                        + 1
-                        for arrays in self.sides
+                        arrays.ring_offset + net_slot[arrays.class_nets[cls]] + 1
+                        for arrays, net_slot in zip(self.sides, net_slots)
                     ]
                 )
             )
@@ -200,31 +207,30 @@ class ArrayExchangeKernel:
                 raise ExchangeError(
                     "design has no supply pads of the requested type"
                 )
-            nxt, prv = self._nxt[cls], self._prv[cls]
-            if count == 1:
-                position = int(positions[0])
-                nxt[position] = prv[position] = position
-                self._sumsq[cls] = ring * ring
-                continue
-            nxt[positions[:-1]] = positions[1:]
-            nxt[positions[-1]] = positions[0]
-            prv[positions[1:]] = positions[:-1]
-            prv[positions[0]] = positions[-1]
             gaps = np.diff(positions)
-            wrap = ring - int(positions[-1]) + int(positions[0])
+            wrap = ring - int(positions[-1]) + int(positions[0])  # ring if count 1
             self._sumsq[cls] = int(np.sum(gaps * gaps)) + wrap * wrap
+            # unoccupied positions keep 0 links, which nothing reads
+            nxt = [0] * (ring + 1)
+            prv = [0] * (ring + 1)
+            pads = positions.tolist()
+            for left, right in zip(pads, pads[1:] + pads[:1]):
+                nxt[left] = right
+                prv[right] = left
+            self._nxt.append(nxt)
+            self._prv.append(prv)
 
-    def _rebuild_density(self) -> None:
+    def _rebuild_density(self, net_slots: List[np.ndarray]) -> None:
         deltas = np.zeros(self._total_runs, dtype=np.int64)
-        for arrays in self.sides:
+        for arrays, net_slot in zip(self.sides, net_slots):
             for wr in arrays.watched:
                 counts = row_run_counts(
-                    arrays.net_slot, arrays.rows, wr.via_nets, wr.row
+                    net_slot, arrays.tables.rows, wr.via_nets, wr.row
                 )
                 deltas[wr.run_base : wr.run_base + wr.run_count] = (
                     counts - wr.baseline_counts
                 )
-        self._run_delta = deltas
+        self._run_delta = deltas.tolist()
         values, counts = np.unique(deltas, return_counts=True)
         self._hist: Dict[int, int] = {
             int(value): int(count) for value, count in zip(values, counts)
@@ -233,8 +239,7 @@ class ArrayExchangeKernel:
 
     def _rebuild_bonding(self) -> None:
         self._group_zeros = [
-            np.zeros(-(-arrays.slot_count // self.psi), dtype=np.int64)
-            for arrays in self.sides
+            [0] * -(-arrays.slot_count // self.psi) for arrays in self.sides
         ]
         self._omega_total = 0
         for q, zeros in enumerate(self._group_zeros):
@@ -255,7 +260,7 @@ class ArrayExchangeKernel:
         for __ in range(self.max_attempts):
             q, net = rng.choice(self._candidates)
             arrays = self.sides[q]
-            slot = int(arrays.net_slot[net]) + 1
+            slot = arrays.net_slot[net] + 1
             direction = rng.choice((-1, 1))
             neighbour = slot + direction
             count = arrays.slot_count
@@ -264,9 +269,9 @@ class ArrayExchangeKernel:
                 if not (1 <= neighbour <= count):
                     continue
             lo = slot if slot < neighbour else neighbour
-            net_lo = int(arrays.slot_net[lo - 1])
-            net_hi = int(arrays.slot_net[lo])
-            if arrays.rows[net_lo] != arrays.rows[net_hi]:
+            slot_net = arrays.slot_net
+            rows = arrays.rows
+            if rows[slot_net[lo - 1]] != rows[slot_net[lo]]:
                 return (q, lo)
         return None
 
@@ -319,17 +324,20 @@ class ArrayExchangeKernel:
         """Bonding-wire omega of the current state (0 for 2-D ICs)."""
         return self._omega_total if self.psi > 1 else 0
 
-    def snapshot(self) -> List[np.ndarray]:
-        """Cheap copy of the current per-side slot->net arrays."""
-        return [arrays.slot_net.copy() for arrays in self.sides]
+    def snapshot(self) -> List[List[int]]:
+        """Cheap copy of the current per-side slot->net lists."""
+        return [arrays.slot_net[:] for arrays in self.sides]
 
-    def restore(self, snapshot: List[np.ndarray]) -> None:
-        """Jump back to a snapshot and rebuild the incremental state."""
+    def restore(self, snapshot) -> None:
+        """Jump back to a snapshot (net indices per side) and rebuild."""
+        ints = self._ints
         for arrays, slots in zip(self.sides, snapshot):
-            arrays.slot_net[:] = slots
-            arrays.net_slot[arrays.slot_net] = np.arange(
-                arrays.slot_count, dtype=np.int64
-            )
+            if len(slots) != arrays.slot_count:
+                raise ExchangeError(f"{len(slots)} slots in a {arrays.side} snapshot")
+            slot_net, net_slot = arrays.slot_net, arrays.net_slot
+            slot_net[:] = map(ints.__getitem__, slots)
+            for slot, net in zip(ints, slot_net):
+                net_slot[net] = slot
         self._rebuild()
 
     # -- checkpoint/resume -------------------------------------------------
@@ -338,7 +346,7 @@ class ArrayExchangeKernel:
         """JSON-able full kernel state for crash-safe SA checkpointing.
 
         The integer terms (IR, density, omega) rebuild exactly from the
-        slot arrays, but the wirelength guard is a *float accumulator*
+        slot lists, but the wirelength guard is a *float accumulator*
         with deliberate drift between resyncs — restoring via
         :meth:`restore` alone would reset it to the exact value and
         desynchronize a resumed run's accept trace from the uninterrupted
@@ -347,7 +355,7 @@ class ArrayExchangeKernel:
         exactly, so the restored accumulator is bit-identical.)
         """
         state = {
-            "slots": [arrays.slot_net.tolist() for arrays in self.sides],
+            "slots": self.snapshot(),
             "swap_count": self.swap_count,
             "resync_count": self.resync_count,
         }
@@ -358,9 +366,7 @@ class ArrayExchangeKernel:
 
     def restore_checkpoint(self, state: dict) -> None:
         """Resume from :meth:`checkpoint_state`, bit-identically."""
-        self.restore(
-            [np.asarray(slots, dtype=np.int64) for slots in state["slots"]]
-        )
+        self.restore(state["slots"])
         self.swap_count = int(state.get("swap_count", 0))
         self.resync_count = int(state.get("resync_count", 0))
         if self._track_wl and "wl_total" in state:
@@ -373,18 +379,18 @@ class ArrayExchangeKernel:
         self.swap_count += 1
         arrays = self.sides[q]
         slot_net = arrays.slot_net
+        net_slot = arrays.net_slot
         i = lo - 1
         j = lo
-        net_a = int(slot_net[i])
-        net_b = int(slot_net[j])
+        net_a = slot_net[i]
+        net_b = slot_net[j]
         slot_net[i] = net_b
         slot_net[j] = net_a
-        arrays.net_slot[net_a] = j
-        arrays.net_slot[net_b] = i
+        net_slot[net_a], net_slot[net_b] = net_slot[net_b], net_slot[net_a]
 
         # IR: at most one pad per tracked network moves by one ring slot
-        class_a = int(arrays.supply_class[net_a])
-        class_b = int(arrays.supply_class[net_b])
+        class_a = arrays.supply_class[net_a]
+        class_b = arrays.supply_class[net_b]
         if class_a != class_b:
             position = arrays.ring_offset + i + 1
             if class_a >= 0:
@@ -393,15 +399,14 @@ class ArrayExchangeKernel:
                 self._move_pad(class_b, position + 1, position)
 
         # density: the passing net crosses one via of the higher row
-        row_a = int(arrays.rows[net_a])
-        row_b = int(arrays.rows[net_b])
-        if row_a > row_b:
+        rows = arrays.rows
+        if rows[net_a] > rows[net_b]:
             via, leftward = net_a, True
         else:
             via, leftward = net_b, False
-        base = int(arrays.net_run_base[via])
+        base = arrays.net_run_base[via]
         if base >= 0:
-            k = base + int(arrays.tables.via_index[via])
+            k = base + arrays.via_index[via]
             if leftward:
                 # via sat left; the passing wire moved from run k+1 to run k
                 self._bump_run(k, 1)
@@ -443,8 +448,8 @@ class ArrayExchangeKernel:
         if self._pad_count[cls] == 1:
             nxt[new_position] = prv[new_position] = new_position
             return
-        left = int(prv[position])
-        right = int(nxt[position])
+        left = prv[position]
+        right = nxt[position]
         ring = self._ring
         old_l = (position - left) % ring
         old_r = (right - position) % ring
@@ -457,7 +462,7 @@ class ArrayExchangeKernel:
         prv[new_position] = left
 
     def _bump_run(self, run: int, step: int) -> None:
-        old = int(self._run_delta[run])
+        old = self._run_delta[run]
         new = old + step
         self._run_delta[run] = new
         hist = self._hist
@@ -484,10 +489,10 @@ class ArrayExchangeKernel:
         slot_net = arrays.slot_net
         tiers = arrays.tiers
         for slot in range(start, stop):
-            mask |= 1 << (int(tiers[slot_net[slot]]) - 1)
+            mask |= 1 << (tiers[slot_net[slot]] - 1)
         zeros = psi - bin(mask).count("1")
         group_zeros = self._group_zeros[q]
-        self._omega_total += zeros - int(group_zeros[group])
+        self._omega_total += zeros - group_zeros[group]
         group_zeros[group] = zeros
 
     def _flyline(self, q: int, net: int, slot: int) -> float:
@@ -505,7 +510,7 @@ class ArrayExchangeKernel:
         """The vectorized flyline total of the current state (no drift)."""
         total = 0.0
         for arrays in self.sides:
-            total += arrays.tables.flyline_total(arrays.net_slot)
+            total += arrays.tables.flyline_total(int_array(arrays.net_slot))
         return total
 
     # -- zero-temperature polish ------------------------------------------------
@@ -560,37 +565,54 @@ class ArrayExchangeKernel:
         *q* and the exact change each makes to the IR gap sumsq and ``_max_delta``.
 
         A pad with ring gaps ``gl``/``gr`` moving right changes the sumsq by
-        ``2 gl - 2 gr + 2``; a swap moves one wire between two runs, so the
-        new peak is ``max(others, v_up + 1, v_down - 1)``.
+        ``2 gl - 2 gr + 2``.  The gaps of the screened pads are the distances
+        between consecutive ones, so only the outermost two read the ring
+        links.  A swap moves one wire between two runs, so the new peak is
+        ``max(others, v_up + 1, v_down - 1)``.
         """
         arrays = self.sides[q]
         stop = arrays.slot_count
-        nets = arrays.slot_net[start - 1 :]
+        nets = int_array(arrays.slot_net[start - 1 :])
         left, right = nets[:-1], nets[1:]
-        row_l, row_r = arrays.rows[left], arrays.rows[right]
+        rows = arrays.tables.rows
+        row_l, row_r = rows[left], rows[right]
         los = np.arange(start, stop)
 
         sumsq = np.zeros(len(los), dtype=np.int64)
-        supply = arrays.supply_class[nets]
         positions = arrays.ring_offset + np.arange(start, stop + 1)
-        for cls in range(self._class_count):
+        ring = self._ring
+        for cls, members in enumerate(arrays.class_nets):
             if self._pad_count[cls] == 1:
                 continue
-            gl = (positions - self._prv[cls][positions]) % self._ring
-            gr = (self._nxt[cls][positions] - positions) % self._ring
-            rightward = 2 * (gl - gr) + 2
-            here = supply == cls
+            member = np.zeros(arrays.slot_count, dtype=bool)
+            member[members] = True
+            here = member[nets]
+            pads = positions[here]
+            if not len(pads):
+                continue
+            before = np.append(self._prv[cls][pads[0]], pads[:-1])
+            after = np.append(pads[1:], self._nxt[cls][pads[-1]])
+            rightward = np.zeros(len(nets), dtype=np.int64)
+            rightward[here] = 2 * ((pads - before) % ring - (after - pads) % ring) + 2
             sumsq += np.where(here[:-1] & ~here[1:], rightward[:-1], 0)
             sumsq += np.where(here[1:] & ~here[:-1], 4 - rightward[1:], 0)
 
         # the wire of the lower-row net passes the via of the higher one
         leftward = row_l > row_r
         via = np.where(leftward, left, right)
-        base = arrays.net_run_base[via]
+        # the side's own runs only; an unwatched via reads a dummy run -1/0
+        first, last = arrays.watched[0], arrays.watched[-1]
+        run_delta = int_array(
+            self._run_delta[first.run_base : last.run_base + last.run_count]
+        )
+        row_base = np.full(arrays.quadrant.row_count + 1, -1, dtype=np.int64)
+        for wr in arrays.watched:
+            row_base[wr.row] = wr.run_base - first.run_base
+        base = row_base[rows[via]]
         watched = base >= 0
-        k = np.where(watched, base + arrays.tables.via_index[via], 0)
-        v_up = self._run_delta[np.where(leftward, k, k + 1)]
-        v_down = self._run_delta[np.where(leftward, k + 1, k)]
+        k = np.where(watched, base + arrays.tables.via_index[via], -1)
+        v_up = run_delta[np.where(leftward, k, k + 1)]
+        v_down = run_delta[np.where(leftward, k + 1, k)]
         # the other runs' peak: the peak while a third run holds it, else the
         # next value below (none left means v_up is the peak: v_up + 1 wins)
         peak = self._max_delta
@@ -604,11 +626,11 @@ class ArrayExchangeKernel:
 
     # -- boundary conversions ----------------------------------------------------
 
-    def orders(self, snapshot: Optional[List[np.ndarray]] = None) -> Dict:
+    def orders(self, snapshot: Optional[List[List[int]]] = None) -> Dict:
         """``{side: [net ids in slot order]}`` of a snapshot (or the state)."""
         slots = snapshot if snapshot is not None else [a.slot_net for a in self.sides]
         return {
-            arrays.side: [int(net_id) for net_id in arrays.tables.net_ids[slot_net]]
+            arrays.side: arrays.tables.net_ids[int_array(slot_net)].tolist()
             for arrays, slot_net in zip(self.sides, slots)
         }
 

@@ -1,12 +1,17 @@
-"""Flat-array mirror of a design + assignment (the kernel's state).
+"""Flat mirror of a design + assignment (the kernel's state).
 
 The object model (``PackageDesign`` / ``Assignment``) is convenient but
 dict-keyed: every hot-loop query pays a hash lookup and an attribute chase.
-This module flattens one design side into contiguous NumPy int arrays —
-net ids, ball rows, tiers, supply classes, slot<->net permutations and the
-static section bookkeeping of Eq. 2 — so the exchange kernel can answer
-every per-move question with O(1) array indexing.  Static arrays come from
-the quadrant's cached :class:`~repro.package.QuadrantTables`.
+This module flattens one design side into index-addressed lookups — ball
+rows, tiers, supply classes, slot<->net permutations and the static section
+bookkeeping of Eq. 2 — so the exchange kernel can answer every per-move
+question with O(1) indexing.
+
+Everything a move reads or writes is a Python ``list`` of ``int``, the
+only copy of that state: a list read is a pointer load, an int64 array
+read boxes a NumPy scalar (~8x slower).  The O(n) vectorized passes
+convert the slice they need with :func:`int_array` and read the static
+arrays of the quadrant's cached :class:`~repro.package.QuadrantTables`.
 
 Net *indices* (0-based positions in the quadrant's netlist) replace net ids
 everywhere inside the kernel; ``tables.net_ids`` maps back out at the boundary.
@@ -47,31 +52,38 @@ class WatchedRow:
 
 @dataclass
 class SideArrays:
-    """One quadrant of the design, flattened."""
+    """One quadrant of the design, flattened (lists are per-move state)."""
 
     side: Side
     quadrant: Quadrant
     #: the quadrant's static arrays (net ids, via indices, ...; read-only)
     tables: QuadrantTables
-    #: ball row by net index (1 = outermost; ``tables.rows``)
-    rows: np.ndarray
+    #: ball row by net index (1 = outermost; ``tables.rows`` as a list)
+    rows: List[int]
     #: die tier by net index (stacking ICs)
-    tiers: np.ndarray
+    tiers: List[int]
     #: IR network class by net index (-1 = untracked)
-    supply_class: np.ndarray
+    supply_class: List[int]
+    #: net indices of each IR network class (static, ``supply_class``'s inverse)
+    class_nets: List[np.ndarray]
     #: run-delta offset of the net's own row, -1 when the row is unwatched
-    net_run_base: np.ndarray
+    net_run_base: List[int]
+    #: position of each net within its own ball row (``tables.via_index``)
+    via_index: List[int]
     #: global ring index of this side's slot 0 (slot s maps to offset + s + 1)
     ring_offset: int
+    #: number of finger slots (= nets) on the side
+    slot_count: int
     #: net index by 0-based slot (the assignment, mutable)
-    slot_net: np.ndarray
+    slot_net: List[int]
     #: 0-based slot by net index (inverse permutation, mutable)
-    net_slot: np.ndarray
+    net_slot: List[int]
     watched: List[WatchedRow] = field(default_factory=list)
 
-    @property
-    def slot_count(self) -> int:
-        return len(self.slot_net)
+
+def int_array(values) -> np.ndarray:
+    """An int64 array of an int sequence (the fast path for a list)."""
+    return np.fromiter(values, dtype=np.int64, count=len(values))
 
 
 def watched_rows_of(quadrant: Quadrant, all_rows: bool) -> List[int]:
@@ -89,27 +101,28 @@ def build_side_arrays(
     split_networks: bool,
     all_rows: bool,
     run_base: int,
+    ints: List[int],
 ) -> SideArrays:
     """Flatten one side of *design* under its baseline *assignment*.
 
     ``run_base`` is the first free index of the kernel's flat run-delta
-    array; the side claims one contiguous block per watched row.
+    array; the side claims one contiguous block per watched row.  *ints*
+    (``list(range(m))``, ``m`` at least the side's net count) supplies the
+    int objects of the permutations and via indices, so that every side
+    shares one object per value.
     """
     quadrant = design.quadrants[side]
     tables = quadrant_tables(quadrant)
     count = quadrant.net_count
-    tiers = np.fromiter(
-        (net.tier for net in quadrant.netlist), dtype=np.int64, count=count
-    )
     # IR network class, mirroring CachedExchangeCost's fraction collection:
     # with split_networks POWER is class 0 and GROUND class 1; otherwise the
     # requested network (every supply net for net_type=None) is class 0.
-    supply_class = np.full(count, -1, dtype=np.int64)
-    if split_networks:
-        supply_class[tables.type_nets[NetType.POWER]] = 0
-        supply_class[tables.type_nets[NetType.GROUND]] = 1
-    else:
-        supply_class[tables.type_nets[net_type]] = 0
+    types = (NetType.POWER, NetType.GROUND) if split_networks else (net_type,)
+    class_nets = [tables.type_nets[net_type] for net_type in types]
+    supply_class = [-1] * count
+    for cls, nets in enumerate(class_nets):
+        for net in nets.tolist():
+            supply_class[net] = cls
 
     slot_net = tables.indices(assignment.order)
     net_slot = np.empty(count, dtype=np.int64)
@@ -122,13 +135,12 @@ def build_side_arrays(
             break
         offset += design.quadrants[ring_side].net_count
 
-    net_run_base = np.full(count, -1, dtype=np.int64)
+    row_base = [-1] * (quadrant.row_count + 1)
     watched: List[WatchedRow] = []
     next_base = run_base
-    rows = tables.rows
     for row in watched_rows_of(quadrant, all_rows):
         via_nets = tables.row_nets[row - 1]
-        counts = row_run_counts(net_slot, rows, via_nets, row)
+        counts = row_run_counts(net_slot, tables.rows, via_nets, row)
         watched.append(
             WatchedRow(
                 row=row,
@@ -137,36 +149,38 @@ def build_side_arrays(
                 baseline_counts=counts,
             )
         )
-        net_run_base[rows == row] = next_base
+        row_base[row] = next_base
         next_base += len(via_nets) + 1
 
+    rows = tables.rows.tolist()
     return SideArrays(
         side=side,
         quadrant=quadrant,
         tables=tables,
         rows=rows,
-        tiers=tiers,
+        tiers=[net.tier for net in quadrant.netlist],
         supply_class=supply_class,
-        net_run_base=net_run_base,
+        class_nets=class_nets,
+        net_run_base=list(map(row_base.__getitem__, rows)),
+        via_index=list(map(ints.__getitem__, tables.via_index.tolist())),
         ring_offset=offset,
-        slot_net=slot_net,
-        net_slot=net_slot,
+        slot_count=count,
+        slot_net=list(map(ints.__getitem__, slot_net.tolist())),
+        net_slot=list(map(ints.__getitem__, net_slot.tolist())),
         watched=watched,
     )
 
 
-def row_run_counts(
-    net_slot: np.ndarray,
-    rows: np.ndarray,
-    via_nets: np.ndarray,
-    row: int,
-) -> np.ndarray:
+def row_run_counts(net_slot, rows, via_nets: np.ndarray, row: int) -> np.ndarray:
     """Wire count of every run on line *row* (vectorized ``run_partition``).
 
     The row's own nets terminate at vias and split the slot sequence into
     ``m + 1`` runs; every net whose ball lies in a lower row crosses the
-    line inside the run its finger slot falls into.
+    line inside the run its finger slot falls into.  ``net_slot`` and
+    ``rows`` are indexed by net (arrays or lists).
     """
+    net_slot = np.asarray(net_slot)
+    rows = np.asarray(rows)
     via_slots = np.sort(net_slot[via_nets])
     passing_slots = net_slot[rows < row]
     run_of = np.searchsorted(via_slots, passing_slots, side="left")

@@ -218,7 +218,6 @@ def _finalize(
     as :meth:`FingerPadExchanger._run_array`.
     """
     from ..assign import DFAAssigner, assign_design, check_legal
-    from ..exchange.checkpoint import decode_arrays
     from ..flow.metrics import improvement_ratio, measure
     from ..kernels import ArrayExchangeKernel
     from ..power import PowerGridConfig
@@ -231,7 +230,7 @@ def _finalize(
     kernel = ArrayExchangeKernel(design, baseline)
     initial_cost = kernel.breakdown()["total"]
     omega_before = kernel.omega
-    kernel.restore(decode_arrays(state["best"]))
+    kernel.restore(state["best"])
     if polish_passes:
         kernel.polish(polish_passes)
     final_cost = kernel.breakdown()["total"]

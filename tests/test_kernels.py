@@ -325,6 +325,41 @@ class TestStateStructures:
         materialized = kernel.assignments()
         assert {s: a.order for s, a in materialized.items()} == kernel.orders()
 
+    @pytest.mark.parametrize("tiers,index", ALL_CONFIGS)
+    @pytest.mark.parametrize("split", [False, True])
+    def test_incremental_state_matches_rebuild(self, tiers, index, split):
+        """After an accept-all walk every incremental structure equals the
+        one a rebuild derives from the walked slots — including the ring
+        links and runs that only the polish screen reads."""
+        design = circuit_design(index, tiers)
+        baseline = assign_design(DFAAssigner(), design)
+        walked = ArrayExchangeKernel(design, baseline, split_networks=split)
+        random_walk(walked, 2000, seed=index)
+        fresh = ArrayExchangeKernel(design, baseline, split_networks=split)
+        fresh.restore(walked.snapshot())
+        assert walked.orders() == fresh.orders()
+        for arrays in walked.sides:
+            assert [arrays.net_slot[net] for net in arrays.slot_net] == list(
+                range(arrays.slot_count)
+            )
+        assert walked._sumsq == fresh._sumsq
+        for cls in range(walked._class_count):
+            occupied = [
+                arrays.ring_offset + arrays.net_slot[net] + 1
+                for arrays in fresh.sides
+                for net in arrays.class_nets[cls].tolist()
+            ]
+            for links in ("_nxt", "_prv"):
+                assert [getattr(walked, links)[cls][p] for p in occupied] == [
+                    getattr(fresh, links)[cls][p] for p in occupied
+                ]
+        assert walked._run_delta == fresh._run_delta
+        assert walked._hist == fresh._hist
+        assert walked._max_delta == fresh._max_delta
+        if tiers > 1:
+            assert walked._group_zeros == fresh._group_zeros
+            assert walked._omega_total == fresh._omega_total
+
 
 def random_walk(kernel, moves, seed):
     """Apply *moves* random proposals: a mid-anneal state with run deltas."""
