@@ -37,10 +37,13 @@ from repro.kernels import ArrayExchangeKernel
 #: Gate: disabled-telemetry slowdown over the bare loop.
 MAX_OVERHEAD = 0.05
 
-#: Design size and schedule: ~40k moves, ~100 ms per run on the array kernel.
+#: Design size and schedule: ~5k moves, ~30 ms per run on the array kernel.
+#: Short runs keep both halves of a pair inside one phase of host speed,
+#: which on a shared host can change several times a second.
 FINGER_COUNT = 448
-PARAMS = SAParams(initial_temp=0.03, final_temp=1e-3, cooling=0.85, moves_per_temp=2000)
-REPEATS = 5
+PARAMS = SAParams(initial_temp=0.03, final_temp=1e-3, cooling=0.85, moves_per_temp=250)
+#: Paired repeats, alternating which loop runs first (~6 s in all).
+REPEATS = 101
 SEED = 0
 
 #: Perf-ledger registration (``repro bench run``): timings gate relatively,

@@ -148,8 +148,8 @@ class SimulatedAnnealer:
         ``checkpoint.interval`` proposed moves the full run state (problem
         state via ``checkpoint.capture``, rng Mersenne state, accumulated
         temperature, mid-step counters, stats, best-so-far) is atomically
-        persisted; the best-so-far snapshot goes into the JSON document
-        as it is, so it must be JSON-able.  When a valid checkpoint exists at start, the run
+        persisted (the best-so-far snapshot as it is, so it must be
+        JSON-able).  When a valid checkpoint exists at start, the run
         resumes from it and replays the exact continuation the
         uninterrupted run would have produced — move for move, bit for
         bit.  A completed run clears its checkpoint.
