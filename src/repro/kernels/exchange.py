@@ -163,6 +163,12 @@ class ArrayExchangeKernel:
         # to ~1e-15 relative).
         self._wl_initial = 1.0
         if self._track_wl:
+            # the guard's flyline geometry as lists, read four times a swap
+            self._flylines = [
+                (t.finger_x.tolist(), t.finger_y, t.via_x.tolist(), t.via_y.tolist(),
+                 t.via_ball.tolist())
+                for t in (arrays.tables for arrays in self.sides)
+            ]
             self._wl_initial = max(self._exact_wirelength(), 1e-12)
         #: Observability counters (read by the exchanger's ``kernel.stats``
         #: telemetry event): total ``_swap`` calls and wirelength resyncs.
@@ -497,14 +503,9 @@ class ArrayExchangeKernel:
 
     def _flyline(self, q: int, net: int, slot: int) -> float:
         # math.hypot, matching Point.euclidean bit for bit
-        tables = self.sides[q].tables
-        return (
-            math.hypot(
-                float(tables.finger_x[slot]) - float(tables.via_x[net]),
-                tables.finger_y - float(tables.via_y[net]),
-            )
-            + float(tables.via_ball[net])
-        )
+        finger_x, finger_y, via_x, via_y, via_ball = self._flylines[q]
+        dx = finger_x[slot] - via_x[net]
+        return math.hypot(dx, finger_y - via_y[net]) + via_ball[net]
 
     def _exact_wirelength(self) -> float:
         """The vectorized flyline total of the current state (no drift)."""

@@ -125,8 +125,7 @@ def build_side_arrays(
             supply_class[net] = cls
 
     slot_net = tables.indices(assignment.order)
-    net_slot = np.empty(count, dtype=np.int64)
-    net_slot[slot_net] = np.arange(count, dtype=np.int64)
+    net_slot = np.argsort(slot_net)  # the inverse permutation
 
     # ring offset: nets of earlier sides (design ring order) come first
     offset = 0
