@@ -290,9 +290,7 @@ class ArrayExchangeKernel:
 
     def cost(self) -> float:
         """Current Eq.-3 total, recomposed from the integer state in O(1)."""
-        raw = self._sumsq[0]
-        for cls in range(1, self._class_count):
-            raw += self._sumsq[cls]
+        raw = sum(self._sumsq)
         total = self.weights.ir * (raw / self._ring_sq / self._ir_initial)
         total += self.weights.density * float(self._max_delta)
         if self.psi > 1:
