@@ -163,12 +163,6 @@ class ArrayExchangeKernel:
         # to ~1e-15 relative).
         self._wl_initial = 1.0
         if self._track_wl:
-            # the guard's flyline geometry as lists, read four times a swap
-            self._flylines = [
-                (t.finger_x.tolist(), t.finger_y, t.via_x.tolist(), t.via_y.tolist(),
-                 t.via_ball.tolist())
-                for t in (arrays.tables for arrays in self.sides)
-            ]
             self._wl_initial = max(self._exact_wirelength(), 1e-12)
         #: Observability counters (read by the exchanger's ``kernel.stats``
         #: telemetry event): total ``_swap`` calls and wirelength resyncs.
@@ -202,7 +196,9 @@ class ArrayExchangeKernel:
             positions = np.sort(
                 np.concatenate(
                     [
-                        arrays.ring_offset + net_slot[arrays.class_nets[cls]] + 1
+                        arrays.ring_offset
+                        + net_slot[arrays.supply_class_array == cls]
+                        + 1
                         for arrays, net_slot in zip(self.sides, net_slots)
                     ]
                 )
@@ -501,9 +497,14 @@ class ArrayExchangeKernel:
 
     def _flyline(self, q: int, net: int, slot: int) -> float:
         # math.hypot, matching Point.euclidean bit for bit
-        finger_x, finger_y, via_x, via_y, via_ball = self._flylines[q]
-        dx = finger_x[slot] - via_x[net]
-        return math.hypot(dx, finger_y - via_y[net]) + via_ball[net]
+        tables = self.sides[q].tables
+        return (
+            math.hypot(
+                float(tables.finger_x[slot]) - float(tables.via_x[net]),
+                tables.finger_y - float(tables.via_y[net]),
+            )
+            + float(tables.via_ball[net])
+        )
 
     def _exact_wirelength(self) -> float:
         """The vectorized flyline total of the current state (no drift)."""
@@ -578,14 +579,13 @@ class ArrayExchangeKernel:
         los = np.arange(start, stop)
 
         sumsq = np.zeros(len(los), dtype=np.int64)
+        supply = arrays.supply_class_array[nets]
         positions = arrays.ring_offset + np.arange(start, stop + 1)
         ring = self._ring
-        for cls, members in enumerate(arrays.class_nets):
+        for cls in range(self._class_count):
             if self._pad_count[cls] == 1:
                 continue
-            member = np.zeros(arrays.slot_count, dtype=bool)
-            member[members] = True
-            here = member[nets]
+            here = supply == cls
             pads = positions[here]
             if not len(pads):
                 continue
@@ -604,12 +604,9 @@ class ArrayExchangeKernel:
         run_delta = int_array(
             self._run_delta[first.run_base : last.run_base + last.run_count]
         )
-        row_base = np.full(arrays.quadrant.row_count + 1, -1, dtype=np.int64)
-        for wr in arrays.watched:
-            row_base[wr.row] = wr.run_base - first.run_base
-        base = row_base[rows[via]]
+        base = arrays.net_run_base_array[via]
         watched = base >= 0
-        k = np.where(watched, base + arrays.tables.via_index[via], -1)
+        k = np.where(watched, base - first.run_base + arrays.tables.via_index[via], -1)
         v_up = run_delta[np.where(leftward, k, k + 1)]
         v_down = run_delta[np.where(leftward, k + 1, k)]
         # the other runs' peak: the peak while a third run holds it, else the

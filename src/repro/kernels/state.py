@@ -10,8 +10,9 @@ question with O(1) indexing.
 Everything a move reads or writes is a Python ``list`` of ``int``, the
 only copy of that state: a list read is a pointer load, an int64 array
 read boxes a NumPy scalar (~8x slower).  The O(n) vectorized passes
-convert the slice they need with :func:`int_array` and read the static
-arrays of the quadrant's cached :class:`~repro.package.QuadrantTables`.
+convert the slice they need with :func:`int_array` and read static arrays:
+the quadrant's cached :class:`~repro.package.QuadrantTables` and the
+side's own supply classes and run offsets.
 
 Net *indices* (0-based positions in the quadrant's netlist) replace net ids
 everywhere inside the kernel; ``tables.net_ids`` maps back out at the boundary.
@@ -20,7 +21,7 @@ Slots are 0-based internally (the object model is 1-based).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List
 
 import numpy as np
@@ -64,8 +65,6 @@ class SideArrays:
     tiers: List[int]
     #: IR network class by net index (-1 = untracked)
     supply_class: List[int]
-    #: net indices of each IR network class (static, ``supply_class``'s inverse)
-    class_nets: List[np.ndarray]
     #: run-delta offset of the net's own row, -1 when the row is unwatched
     net_run_base: List[int]
     #: position of each net within its own ball row (``tables.via_index``)
@@ -78,7 +77,11 @@ class SideArrays:
     slot_net: List[int]
     #: 0-based slot by net index (inverse permutation, mutable)
     net_slot: List[int]
-    watched: List[WatchedRow] = field(default_factory=list)
+    #: ``supply_class`` and ``net_run_base`` as int64 arrays for the O(n)
+    #: passes (static, like the lists, so the two never disagree)
+    supply_class_array: np.ndarray
+    net_run_base_array: np.ndarray
+    watched: List[WatchedRow]
 
 
 def int_array(values) -> np.ndarray:
@@ -118,11 +121,9 @@ def build_side_arrays(
     # with split_networks POWER is class 0 and GROUND class 1; otherwise the
     # requested network (every supply net for net_type=None) is class 0.
     types = (NetType.POWER, NetType.GROUND) if split_networks else (net_type,)
-    class_nets = [tables.type_nets[net_type] for net_type in types]
-    supply_class = [-1] * count
-    for cls, nets in enumerate(class_nets):
-        for net in nets.tolist():
-            supply_class[net] = cls
+    supply_class = np.full(count, -1, dtype=np.int64)
+    for cls, net_type in enumerate(types):
+        supply_class[tables.type_nets[net_type]] = cls
 
     slot_net = tables.indices(assignment.order)
     net_slot = np.argsort(slot_net)  # the inverse permutation
@@ -158,14 +159,15 @@ def build_side_arrays(
         tables=tables,
         rows=rows,
         tiers=[net.tier for net in quadrant.netlist],
-        supply_class=supply_class,
-        class_nets=class_nets,
+        supply_class=supply_class.tolist(),
         net_run_base=list(map(row_base.__getitem__, rows)),
         via_index=list(map(ints.__getitem__, tables.via_index.tolist())),
         ring_offset=offset,
         slot_count=count,
         slot_net=list(map(ints.__getitem__, slot_net.tolist())),
         net_slot=list(map(ints.__getitem__, net_slot.tolist())),
+        supply_class_array=supply_class,
+        net_run_base_array=np.array(row_base, dtype=np.int64)[tables.rows],
         watched=watched,
     )
 

@@ -347,7 +347,8 @@ class TestStateStructures:
             occupied = [
                 arrays.ring_offset + arrays.net_slot[net] + 1
                 for arrays in fresh.sides
-                for net in arrays.class_nets[cls].tolist()
+                for net, net_class in enumerate(arrays.supply_class)
+                if net_class == cls
             ]
             for links in ("_nxt", "_prv"):
                 assert [getattr(walked, links)[cls][p] for p in occupied] == [
