@@ -45,7 +45,7 @@ bench-pipeline:
 	PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) python benchmarks/bench_pipeline.py --smoke
 
 # Observability null-path gate (<30 s): the instrumented SA loop with
-# telemetry disabled must be within 5% of a telemetry-free replica
+# telemetry disabled must be within 2% of a telemetry-free replica
 # (see docs/observability.md); writes results/BENCH_obs.json.
 bench-obs:
 	PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) python benchmarks/bench_obs.py

@@ -8,7 +8,7 @@ this bench proves the gate holds by timing the *instrumented*
 against a hand-rolled replica of the same loop with every telemetry and
 metrics line deleted, on the same array kernel and the same rng stream.
 
-Acceptance: instrumented/bare <= 1.05, as the median of per-pair ratios.
+Acceptance: instrumented/bare <= 1.02, as the median of per-pair ratios.
 The repeats run in interleaved pairs (bare then instrumented, then the
 other way round), so a burst of host load slows both sides of a pair
 instead of one whole side.  Runnable standalone as the ``make bench-obs``
@@ -34,8 +34,10 @@ from repro.exchange import SAParams, SAStats, SimulatedAnnealer
 from repro.exchange.annealer import BEST_IMPROVEMENT_EPS
 from repro.kernels import ArrayExchangeKernel
 
-#: Gate: disabled-telemetry slowdown over the bare loop.
-MAX_OVERHEAD = 0.05
+#: Gate: disabled-telemetry slowdown over the bare loop.  Set between the
+#: unmodified loop (0.0-1.4% in ten runs on a 2-CPU x86_64 host) and one
+#: extra ``get_telemetry()`` call per move (2.1-4.5% in ten runs).
+MAX_OVERHEAD = 0.02
 
 #: Design size and schedule: ~5k moves, ~30 ms per run on the array kernel.
 #: Short runs keep both halves of a pair inside one phase of host speed,

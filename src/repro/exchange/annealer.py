@@ -62,6 +62,9 @@ class SAParams:
     moves_per_temp: int = 150
 
     def __post_init__(self) -> None:
+        # inf never cools below final_temp; NaN fails every comparison
+        if not (math.isfinite(self.initial_temp) and math.isfinite(self.final_temp)):
+            raise ValueError("temperatures must be finite")
         if self.initial_temp <= 0 or self.final_temp <= 0:
             raise ValueError("temperatures must be positive")
         if self.final_temp > self.initial_temp:

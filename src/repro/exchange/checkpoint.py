@@ -1,8 +1,7 @@
 """Crash-safe SA checkpointing: periodic atomic snapshots of a live anneal.
 
 A checkpoint captures *everything* the annealer's future depends on —
-the kernel's full state (slot lists plus the wirelength float
-accumulator and its resync phase), the complete ``random.Random``
+the kernel's slot lists and swap counter, the complete ``random.Random``
 Mersenne state, the accumulated temperature float, the mid-step move
 index, every stats counter, the cost trace, and the best-so-far snapshot
 — so a resumed run replays the exact move sequence the uninterrupted run

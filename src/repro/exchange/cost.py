@@ -15,6 +15,7 @@ assignment so the weights compare like against like:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -26,20 +27,17 @@ from .sections import DesignSectionTracker
 
 @dataclass(frozen=True)
 class CostWeights:
-    """The lambda / rho / phi weights of Eq. 3, plus one optional guard.
-
-    ``wirelength`` (default 0: off, the paper's exact Eq. 3) penalizes
-    growth of the total finger->via flyline during the exchange, protecting
-    the Table-2 wirelength gains when many signal pads move (stacking runs).
-    """
+    """The lambda / rho / phi weights of Eq. 3."""
 
     ir: float = 1.0
     density: float = 0.08
     bonding: float = 0.5
-    wirelength: float = 0.0
 
     def __post_init__(self) -> None:
-        if min(self.ir, self.density, self.bonding, self.wirelength) < 0:
+        weights = (self.ir, self.density, self.bonding)
+        if not all(math.isfinite(weight) for weight in weights):
+            raise ValueError("cost weights must be finite")
+        if min(weights) < 0:
             raise ValueError("cost weights must be non-negative")
 
 
@@ -75,20 +73,6 @@ class ExchangeCost:
         self._omega_initial = max(
             omega_of_design(baseline_assignments, self.psi), 1
         )
-        self._wl_initial = None
-        if self.weights.wirelength > 0:
-            self._wl_initial = max(
-                self._raw_wirelength(baseline_assignments), 1e-12
-            )
-
-    @staticmethod
-    def _raw_wirelength(assignments: Dict) -> float:
-        from ..routing.wirelength import total_flyline_length
-
-        return sum(
-            total_flyline_length(assignment)
-            for assignment in assignments.values()
-        )
 
     def _raw_ir(self, assignments: Dict) -> float:
         if self.split_networks:
@@ -118,12 +102,6 @@ class ExchangeCost:
         """Normalized omega (1.0 right after assignment; 0 when perfect)."""
         return omega_of_design(assignments, self.psi) / self._omega_initial
 
-    def wirelength_term(self, assignments: Dict) -> float:
-        """Normalized package flyline length (1.0 right after assignment)."""
-        if self._wl_initial is None:
-            return 0.0
-        return self._raw_wirelength(assignments) / self._wl_initial
-
     # -- Eq. 3 -------------------------------------------------------------------
 
     def total(self, assignments: Dict) -> float:
@@ -132,8 +110,6 @@ class ExchangeCost:
         value += self.weights.density * self.density_term(assignments)
         if self.psi > 1:
             value += self.weights.bonding * self.bonding_term(assignments)
-        if self.weights.wirelength > 0:
-            value += self.weights.wirelength * self.wirelength_term(assignments)
         return value
 
     def breakdown(self, assignments: Dict) -> Dict[str, float]:
@@ -151,6 +127,4 @@ def eq3_terms(cost, assignments: Dict) -> Dict[str, float]:
     }
     if cost.psi > 1:
         result["bonding"] = cost.bonding_term(assignments)
-    if cost.weights.wirelength > 0:
-        result["wirelength"] = cost.wirelength_term(assignments)
     return result

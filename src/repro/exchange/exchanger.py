@@ -44,9 +44,9 @@ class FingerPadExchanger:
     """SA-driven exchange over a whole design (2-D and stacking ICs).
 
     The anneal runs on :class:`~repro.kernels.ArrayExchangeKernel`: flat
-    NumPy state with O(1) swap deltas, which also writes the before/after
-    Eq.-3 breakdown and omega of the :class:`ExchangeResult`.  The kernel
-    hard-codes the paper's compact gap-spread IR proxy, so a custom
+    ``int``-list state with O(1) integer swap deltas, which also writes the
+    before/after Eq.-3 breakdown and omega of the :class:`ExchangeResult`.
+    The kernel hard-codes the paper's compact gap-spread IR proxy, so a custom
     ``ir_proxy`` is the one input that selects the object loop instead:
     :class:`CachedExchangeCost` over ``Assignment`` objects.  That loop is
     also the reference the kernel is proven move-for-move identical to
@@ -66,7 +66,6 @@ class FingerPadExchanger:
         track_all_rows: bool = True,
         split_networks: bool = False,
         polish_passes: int = 20,
-        wl_resync_interval: Optional[int] = None,
         checkpoint=None,
     ) -> None:
         self.design = design
@@ -84,10 +83,6 @@ class FingerPadExchanger:
         self.track_all_rows = track_all_rows
         self.split_networks = split_networks
         self.polish_passes = polish_passes
-        #: Kernel wirelength resync cadence override (None = the kernel's
-        #: default); the fuzzer pins tiny values so short anneals still
-        #: cross resync boundaries.
-        self.wl_resync_interval = wl_resync_interval
         #: Optional :class:`~repro.exchange.checkpoint.SACheckpointer`:
         #: the anneal periodically persists its full state and resumes
         #: bit-identically after a crash.  Kernel anneals only — the
@@ -118,7 +113,6 @@ class FingerPadExchanger:
                 track_all_rows=self.track_all_rows,
                 split_networks=self.split_networks,
                 power_only=self.power_only,
-                wl_resync_interval=self.wl_resync_interval,
             )
         with span("exchange.report", telemetry):
             breakdown_before = kernel.breakdown()
@@ -155,13 +149,11 @@ class FingerPadExchanger:
                 backend="array",
                 proposed=stats.proposed,
                 swaps=kernel.swap_count,
-                resyncs=kernel.resync_count,
                 us_per_move=round(anneal_seconds * 1e6 / stats.proposed, 3)
                 if stats.proposed
                 else 0.0,
                 seconds=round(anneal_seconds, 6),
             )
-            telemetry.metrics.counter("kernel.resyncs").inc(kernel.resync_count)
         with span("exchange.report", telemetry):
             before = {
                 side: assignment.copy() for side, assignment in assignments.items()
@@ -202,7 +194,6 @@ class FingerPadExchanger:
                 self.weights.ir,
                 self.weights.density,
                 self.weights.bonding,
-                self.weights.wirelength,
             ],
             "orders": {
                 str(side): order for side, order in kernel.orders().items()

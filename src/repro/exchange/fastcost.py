@@ -56,7 +56,6 @@ class CachedExchangeCost:
         self._fractions_by_net: Dict = {}
         self._section_id: Dict = {}
         self._omega: Dict = {}
-        self._wirelength: Dict = {}
 
     # -- cache maintenance ------------------------------------------------------
 
@@ -88,10 +87,6 @@ class CachedExchangeCost:
                 assignment
             )
             self._omega[side] = omega_of_assignment(assignment, self.psi)
-            if exact._wl_initial is not None:
-                from ..routing.wirelength import total_flyline_length
-
-                self._wirelength[side] = total_flyline_length(assignment)
         self._dirty.clear()
 
     # -- collected terms ----------------------------------------------------------
@@ -127,19 +122,11 @@ class CachedExchangeCost:
         self._refresh(assignments)
         return sum(self._omega.values()) / self._exact._omega_initial
 
-    def wirelength_term(self, assignments: Dict) -> float:
-        if self._exact._wl_initial is None:
-            return 0.0
-        self._refresh(assignments)
-        return sum(self._wirelength.values()) / self._exact._wl_initial
-
     def total(self, assignments: Dict) -> float:
         value = self.weights.ir * self.ir_term(assignments)
         value += self.weights.density * self.density_term(assignments)
         if self.psi > 1:
             value += self.weights.bonding * self.bonding_term(assignments)
-        if self.weights.wirelength > 0:
-            value += self.weights.wirelength * self.wirelength_term(assignments)
         if not math.isfinite(value):
             # Name the poisoned term: a NaN total silently accepted by the
             # SA loop would corrupt every later delta.

@@ -21,6 +21,10 @@ from ..assign import swap_is_legal
 from ..geometry import Side
 from ..package import PackageDesign
 
+#: Draws per ``propose`` before it gives up.  ``ArrayExchangeKernel`` reads
+#: the same constant, so both move sources consume the rng identically.
+MAX_ATTEMPTS = 16
+
 
 @dataclass(frozen=True)
 class SwapMove:
@@ -39,14 +43,12 @@ class MoveGenerator:
         design: PackageDesign,
         assignments: Dict,
         power_only: Optional[bool] = None,
-        max_attempts: int = 16,
     ) -> None:
         self.design = design
         self.assignments = assignments
         psi = design.stacking.tier_count
         # Paper Fig. 14 lines 4-7: power pads only for 2-D ICs.
         self.power_only = (psi == 1) if power_only is None else power_only
-        self.max_attempts = max_attempts
         self._candidates = self._collect_candidates()
 
     def _collect_candidates(self) -> List[Tuple[Side, int]]:
@@ -63,7 +65,7 @@ class MoveGenerator:
         """One random legal move, or ``None`` if the attempts ran out."""
         if not self._candidates:
             return None
-        for __ in range(self.max_attempts):
+        for __ in range(MAX_ATTEMPTS):
             side, net_id = rng.choice(self._candidates)
             assignment = self.assignments[side]
             slot = assignment.slot_of(net_id)

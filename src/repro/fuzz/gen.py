@@ -3,7 +3,7 @@
 A :class:`FuzzCase` is a fully JSON-serializable bundle of everything one
 fuzz trial needs: ``CircuitSpec`` keyword arguments, the design seed, the
 run seed and the exchange knobs (SA schedule, cost weights, network
-splitting, wirelength-resync cadence).  Serializability is what makes a
+splitting, row tracking).  Serializability is what makes a
 failing case *portable*: the shrinker rewrites it field by field and the
 minimized result lands verbatim in the JSON corpus under
 ``tests/data/fuzz_corpus/``.
@@ -23,7 +23,7 @@ import hashlib
 import json
 import random
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterator, Optional
+from typing import Dict, Iterator
 
 from ..errors import CircuitSpecError
 
@@ -59,7 +59,6 @@ class FuzzCase:
     weights: Dict = field(default_factory=dict)
     split_networks: bool = False
     track_all_rows: bool = True
-    wl_resync_interval: Optional[int] = None
     #: spreads and reverses the generated net ids, so netlist order is not
     #: id order (see ``build_design``)
     id_stride: int = 1
@@ -75,9 +74,8 @@ class FuzzCase:
             "weights": dict(self.weights),
             "split_networks": self.split_networks,
             "track_all_rows": self.track_all_rows,
-            "wl_resync_interval": self.wl_resync_interval,
         }
-        if self.id_stride != 1:  # contiguous-id cases keep their old digests
+        if self.id_stride != 1:  # contiguous-id cases keep a stride-free digest
             payload["id_stride"] = self.id_stride
         return payload
 
@@ -91,7 +89,6 @@ class FuzzCase:
             weights=dict(payload.get("weights", {})),
             split_networks=bool(payload.get("split_networks", False)),
             track_all_rows=bool(payload.get("track_all_rows", True)),
-            wl_resync_interval=payload.get("wl_resync_interval"),
             id_stride=int(payload.get("id_stride", 1)),
         )
 
@@ -213,11 +210,7 @@ class CaseGenerator:
             "ir": rng.choice(_WEIGHT_POOL),
             "density": rng.choice(_WEIGHT_POOL),
             "bonding": rng.choice(_WEIGHT_POOL),
-            "wirelength": rng.choice((0.0, 0.0, 0.5, 1.0)),
         }
-        wl_resync = None
-        if weights["wirelength"] > 0 and rng.random() < 0.5:
-            wl_resync = rng.choice((1, 2, 3))
         return FuzzCase(
             spec=spec,
             design_seed=rng.randrange(2 ** 16),
@@ -231,7 +224,6 @@ class CaseGenerator:
             weights=weights,
             split_networks=rng.random() < 0.3,
             track_all_rows=rng.random() < 0.8,
-            wl_resync_interval=wl_resync,
             id_stride=rng.choice(_ID_STRIDE_POOL),
         )
 

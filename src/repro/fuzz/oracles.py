@@ -383,7 +383,6 @@ def _exchanger(case: FuzzCase, design, cls=None, **kwargs):
         weights=case.cost_weights(),
         track_all_rows=case.track_all_rows,
         split_networks=case.split_networks,
-        wl_resync_interval=case.wl_resync_interval,
         **kwargs,
     )
 
@@ -507,8 +506,7 @@ def oracle_checkpoint(case: FuzzCase) -> List[str]:
     checkpointed run killed by :class:`SimulatedCrash` right after its
     first save lands, and a resume from that checkpoint.  The resumed run
     must finish with the reference's exact stats, cost trace, final
-    orders and costs — any drift means the checkpoint is missing state
-    (this oracle is what caught the wirelength float accumulator).
+    orders and costs — any drift means the checkpoint is missing state.
     """
     import os
 

@@ -61,8 +61,6 @@ def _candidates(case: FuzzCase) -> Iterator[FuzzCase]:
         yield replace(case, split_networks=False)
     if not case.track_all_rows:
         yield replace(case, track_all_rows=True)
-    if case.wl_resync_interval is not None:
-        yield replace(case, wl_resync_interval=None)
     if case.id_stride != 1:
         yield replace(case, id_stride=1)
     if case.weights:

@@ -18,10 +18,6 @@ and keeps every Eq.-3 ingredient incrementally:
   ``max_c (I_c_new - I_c_ini)`` in O(1) amortized.
 * **bonding term (omega)** — tier bitmasks per finger group; a swap only
   re-ORs the (at most) two groups it straddles, O(psi).
-* **wirelength guard** (optional) — per-net flyline lengths recomputed
-  from the flyline geometry of the quadrant's static
-  :class:`~repro.package.QuadrantTables`, four ``hypot`` calls per move,
-  with a periodic vectorized resync to keep float accumulation below 1e-12.
 
 Everything one move touches (permutations, ring links, run deltas, group
 masks, per-net lookups) is a Python ``list`` of ``int``, so a move boxes
@@ -30,7 +26,7 @@ no NumPy scalar; the O(n) passes build the arrays they need where they run.
 The kernel is the production exchange at every design size and reports
 for itself: :meth:`ArrayExchangeKernel.breakdown` returns the Eq.-3 terms
 keyed like ``ExchangeCost.breakdown`` and :attr:`ArrayExchangeKernel.omega`
-the bonding metric, both in O(1) apart from the exact wirelength resync.
+the bonding metric, both in O(1).
 
 Because the IR and density deltas are exact integers, the zero-temperature
 :meth:`ArrayExchangeKernel.polish` screens every legal swap of a side in one
@@ -47,7 +43,6 @@ re-derivation to 1e-9.
 
 from __future__ import annotations
 
-import math
 import random
 from itertools import repeat
 from typing import Dict, List, Optional, Tuple
@@ -57,13 +52,10 @@ import numpy as np
 from ..assign import Assignment
 from ..errors import ExchangeError
 from ..exchange.cost import CostWeights
+from ..exchange.moves import MAX_ATTEMPTS
 from ..package import NetType
 from ..power import compact_ir_cost, supply_pad_fractions
 from .state import SideArrays, build_side_arrays, int_array, row_run_counts
-
-#: How many swaps between vectorized wirelength resyncs (float-drift guard;
-#: the integer-backed IR/density/omega terms never drift and never resync).
-WL_RESYNC_INTERVAL = 4096
 
 
 class ArrayExchangeKernel:
@@ -85,8 +77,6 @@ class ArrayExchangeKernel:
         track_all_rows: bool = True,
         split_networks: bool = False,
         power_only: Optional[bool] = None,
-        max_attempts: int = 16,
-        wl_resync_interval: Optional[int] = None,
     ) -> None:
         if ir_proxy is not None:
             raise ExchangeError(
@@ -99,15 +89,6 @@ class ArrayExchangeKernel:
         self.net_type = net_type
         self.split_networks = split_networks
         self.psi = design.stacking.tier_count
-        self.max_attempts = max_attempts
-        if wl_resync_interval is not None and wl_resync_interval < 1:
-            raise ExchangeError(
-                f"wl_resync_interval must be >= 1, got {wl_resync_interval}"
-            )
-        #: None = follow the module-level ``WL_RESYNC_INTERVAL`` (read at
-        #: swap time, so tests can monkeypatch it); an int pins it per
-        #: kernel — the fuzzer uses tiny values to force drift resyncs.
-        self.wl_resync_interval = wl_resync_interval
         power_only = (self.psi == 1) if power_only is None else power_only
         self.power_only = power_only
 
@@ -121,7 +102,6 @@ class ArrayExchangeKernel:
             for nt in networks
         )
         self._ir_initial = max(raw, 1e-12)
-        self._track_wl = self.weights.wirelength > 0
 
         # -- flat state, one block per side in design ring order
         self.sides: List[SideArrays] = []
@@ -158,16 +138,9 @@ class ArrayExchangeKernel:
             nets = supply if power_only else range(arrays.slot_count)
             self._candidates.extend(zip(repeat(q), map(ints.__getitem__, nets)))
 
-        # The wirelength normalizer is the vectorized flyline total that
-        # measure() reports, not the exact model's per-net sum (they agree
-        # to ~1e-15 relative).
-        self._wl_initial = 1.0
-        if self._track_wl:
-            self._wl_initial = max(self._exact_wirelength(), 1e-12)
-        #: Observability counters (read by the exchanger's ``kernel.stats``
-        #: telemetry event): total ``_swap`` calls and wirelength resyncs.
+        #: Observability counter (read by the exchanger's ``kernel.stats``
+        #: telemetry event): total ``_swap`` calls.
         self.swap_count = 0
-        self.resync_count = 0
         self._rebuild()
         if self.psi > 1:
             self._omega_initial = max(self._omega_total, 1)
@@ -181,9 +154,6 @@ class ArrayExchangeKernel:
         self._rebuild_density(net_slots)
         if self.psi > 1:
             self._rebuild_bonding()
-        if self._track_wl:
-            self._wl_total = self._exact_wirelength()
-            self._wl_since_resync = 0
 
     def _rebuild_ir(self, net_slots: List[np.ndarray]) -> None:
         ring = self._ring
@@ -259,7 +229,7 @@ class ArrayExchangeKernel:
         """
         if not self._candidates:
             return None
-        for __ in range(self.max_attempts):
+        for __ in range(MAX_ATTEMPTS):
             q, net = rng.choice(self._candidates)
             arrays = self.sides[q]
             slot = arrays.net_slot[net] + 1
@@ -291,17 +261,10 @@ class ArrayExchangeKernel:
         total += self.weights.density * float(self._max_delta)
         if self.psi > 1:
             total += self.weights.bonding * (self._omega_total / self._omega_initial)
-        if self._track_wl:
-            total += self.weights.wirelength * (self._wl_total / self._wl_initial)
         return total
 
     def breakdown(self) -> Dict[str, float]:
-        """Per-term Eq.-3 values, keyed like ``ExchangeCost.breakdown``.
-
-        The wirelength term is recomputed exactly rather than read from the
-        drifting accumulator, so the report is a pure function of the
-        current orders.
-        """
+        """Per-term Eq.-3 values, keyed like ``ExchangeCost.breakdown``."""
         weights = self.weights
         raw = sum(self._sumsq)
         result = {
@@ -313,9 +276,6 @@ class ArrayExchangeKernel:
         if self.psi > 1:
             result["bonding"] = self._omega_total / self._omega_initial
             total += weights.bonding * result["bonding"]
-        if self._track_wl:
-            result["wirelength"] = self._exact_wirelength() / self._wl_initial
-            total += weights.wirelength * result["wirelength"]
         result["total"] = total
         return result
 
@@ -343,35 +303,17 @@ class ArrayExchangeKernel:
     # -- checkpoint/resume -------------------------------------------------
 
     def checkpoint_state(self) -> dict:
-        """JSON-able full kernel state for crash-safe SA checkpointing.
+        """JSON-able kernel state for crash-safe SA checkpointing.
 
-        The integer terms (IR, density, omega) rebuild exactly from the
-        slot lists, but the wirelength guard is a *float accumulator*
-        with deliberate drift between resyncs — restoring via
-        :meth:`restore` alone would reset it to the exact value and
-        desynchronize a resumed run's accept trace from the uninterrupted
-        one.  The accumulator, its resync phase, and the swap counters are
-        therefore part of the state.  (JSON round-trips Python floats
-        exactly, so the restored accumulator is bit-identical.)
+        Every cost term is an integer that rebuilds exactly from the slot
+        lists, so the slots and the swap counter are the whole state.
         """
-        state = {
-            "slots": self.snapshot(),
-            "swap_count": self.swap_count,
-            "resync_count": self.resync_count,
-        }
-        if self._track_wl:
-            state["wl_total"] = self._wl_total
-            state["wl_since_resync"] = self._wl_since_resync
-        return state
+        return {"slots": self.snapshot(), "swap_count": self.swap_count}
 
     def restore_checkpoint(self, state: dict) -> None:
         """Resume from :meth:`checkpoint_state`, bit-identically."""
         self.restore(state["slots"])
         self.swap_count = int(state.get("swap_count", 0))
-        self.resync_count = int(state.get("resync_count", 0))
-        if self._track_wl and "wl_total" in state:
-            self._wl_total = float(state["wl_total"])
-            self._wl_since_resync = int(state.get("wl_since_resync", 0))
 
     # -- hot path --------------------------------------------------------------
 
@@ -423,24 +365,6 @@ class ArrayExchangeKernel:
             if group_i != group_j:
                 self._refresh_group(q, group_i)
                 self._refresh_group(q, group_j)
-
-        if self._track_wl:
-            self._wl_total += (
-                self._flyline(q, net_a, j)
-                + self._flyline(q, net_b, i)
-                - self._flyline(q, net_a, i)
-                - self._flyline(q, net_b, j)
-            )
-            self._wl_since_resync += 1
-            interval = (
-                self.wl_resync_interval
-                if self.wl_resync_interval is not None
-                else WL_RESYNC_INTERVAL
-            )
-            if self._wl_since_resync >= interval:
-                self._wl_total = self._exact_wirelength()
-                self._wl_since_resync = 0
-                self.resync_count += 1
 
     def _move_pad(self, cls: int, position: int, new_position: int) -> None:
         nxt = self._nxt[cls]
@@ -495,24 +419,6 @@ class ArrayExchangeKernel:
         self._omega_total += zeros - group_zeros[group]
         group_zeros[group] = zeros
 
-    def _flyline(self, q: int, net: int, slot: int) -> float:
-        # math.hypot, matching Point.euclidean bit for bit
-        tables = self.sides[q].tables
-        return (
-            math.hypot(
-                float(tables.finger_x[slot]) - float(tables.via_x[net]),
-                tables.finger_y - float(tables.via_y[net]),
-            )
-            + float(tables.via_ball[net])
-        )
-
-    def _exact_wirelength(self) -> float:
-        """The vectorized flyline total of the current state (no drift)."""
-        total = 0.0
-        for arrays in self.sides:
-            total += arrays.tables.flyline_total(int_array(arrays.net_slot))
-        return total
-
     # -- zero-temperature polish ------------------------------------------------
 
     def polish(self, passes: int) -> None:
@@ -547,12 +453,10 @@ class ArrayExchangeKernel:
 
         Flagged: a screened delta below ``+1e-9`` (a superset of the exact
         step's ``-1e-12``) with some integer term changed (else ``cost()``
-        is bit-identical), and every swap whose omega (group-straddling,
-        psi > 1) or wirelength change the screen does not price.
+        is bit-identical), and every swap whose omega change (group-straddling,
+        psi > 1) the screen does not price.
         """
         los, sumsq, density = self._screen_deltas(q, start)
-        if self._track_wl:
-            return los
         delta = self.weights.ir * (sumsq / self._ring_sq / self._ir_initial)
         delta += self.weights.density * density
         flagged = (delta < 1e-9) & ((sumsq != 0) | (density != 0))

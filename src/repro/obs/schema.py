@@ -85,8 +85,7 @@ REQUIRED: Dict[str, Dict[str, tuple]] = {
     "tune.begin": {"circuit": _STR, "cells": _NUM},
     "tune.cell": {"circuit": _STR, "cost": _NUM, "seconds": _NUM},
     "tune.end": {"cells": _NUM, "front": _NUM},
-    "kernel.stats": {"backend": _STR, "proposed": _NUM, "us_per_move": _NUM,
-                     "resyncs": _NUM},
+    "kernel.stats": {"backend": _STR, "proposed": _NUM, "us_per_move": _NUM},
     "metrics": {"version": _NUM, "metrics": _DICT},
     "profile": {"mode": _STR, "top": _LIST},
     "verify.violation": {"stage": _STR, "policy": _STR, "codes": _LIST},

@@ -220,7 +220,6 @@ def stats_summary(events: Iterable[dict]) -> dict:
             )
             if kernel
             else None,
-            "resyncs": sum(int(e.get("resyncs", 0)) for e in kernel),
         },
         "metrics": _merged_metrics(events),
     }
@@ -323,7 +322,7 @@ def render_stats(summary: dict, top: int = 10) -> str:
     if kernel["runs"]:
         lines.append(
             f"kernel: runs={kernel['runs']} "
-            f"us/move={_fmt(kernel['us_per_move'])} resyncs={kernel['resyncs']}"
+            f"us/move={_fmt(kernel['us_per_move'])}"
         )
 
     histograms = {

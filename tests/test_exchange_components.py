@@ -127,6 +127,13 @@ class TestSAParams:
             SAParams(cooling=1.0)
         with pytest.raises(ValueError):
             SAParams(moves_per_temp=0)
+        # inf never cools (temperature_steps() would not return); NaN slips
+        # past every ordering check into a silent 0-step anneal
+        for bad in (float("inf"), float("nan")):
+            with pytest.raises(ValueError):
+                SAParams(initial_temp=bad)
+            with pytest.raises(ValueError):
+                SAParams(final_temp=bad)
 
     def test_schedule_accounting(self):
         params = SAParams(initial_temp=1.0, final_temp=0.1, cooling=0.5, moves_per_temp=10)
@@ -253,6 +260,10 @@ class TestExchangeCost:
     def test_weights_validation(self):
         with pytest.raises(ValueError):
             CostWeights(ir=-1)
+        for name in ("ir", "density", "bonding"):
+            for bad in (float("inf"), float("nan")):
+                with pytest.raises(ValueError):
+                    CostWeights(**{name: bad})
 
     def test_total_composition(self, stacked_design):
         assignments = assign_design(DFAAssigner(), stacked_design)

@@ -105,52 +105,3 @@ class TestExchangerIntegration:
         fast = timed(CachedExchangeCost)
         slow = timed(ExchangeCost)
         assert fast < slow * 1.5  # generous bound to stay CI-stable
-
-
-class TestWirelengthTerm:
-    def test_off_by_default(self, small_design):
-        from repro.assign import DFAAssigner
-        from repro.exchange import CostWeights, ExchangeCost
-
-        assignments = assign_design(DFAAssigner(), small_design)
-        cost = ExchangeCost(small_design, assignments)
-        assert cost.wirelength_term(assignments) == 0.0
-        assert "wirelength" not in cost.breakdown(assignments)
-
-    def test_normalized_at_baseline(self, small_design):
-        from repro.assign import DFAAssigner
-        from repro.exchange import CostWeights, ExchangeCost
-
-        assignments = assign_design(DFAAssigner(), small_design)
-        cost = ExchangeCost(
-            small_design, assignments, weights=CostWeights(wirelength=1.0)
-        )
-        assert cost.wirelength_term(assignments) == pytest.approx(1.0)
-        assert cost.breakdown(assignments)["wirelength"] == pytest.approx(1.0)
-
-    def test_cached_equivalence_with_wirelength(self, small_design):
-        from repro.exchange import CostWeights
-
-        _random_walk_equivalence(
-            small_design, steps=60, weights=CostWeights(wirelength=0.5)
-        )
-
-    def test_guard_limits_wirelength_growth(self, stacked_design):
-        """With the guard on, the exchange cannot trade much wirelength."""
-        from repro.assign import DFAAssigner
-        from repro.exchange import CostWeights, FingerPadExchanger
-        from repro.routing import total_flyline_length_of_design
-
-        initial = assign_design(DFAAssigner(), stacked_design)
-        base_length = total_flyline_length_of_design(initial)
-        unguarded = FingerPadExchanger(
-            stacked_design, params=FAST_SA,
-            weights=CostWeights(ir=1.0, density=0.08, bonding=0.5),
-        ).run(initial, seed=11)
-        guarded = FingerPadExchanger(
-            stacked_design, params=FAST_SA,
-            weights=CostWeights(ir=1.0, density=0.08, bonding=0.5, wirelength=3.0),
-        ).run(initial, seed=11)
-        guarded_len = total_flyline_length_of_design(guarded.after)
-        unguarded_len = total_flyline_length_of_design(unguarded.after)
-        assert guarded_len <= unguarded_len + 1e-9 or guarded_len <= base_length * 1.02

@@ -56,7 +56,6 @@ class TestGenerator:
         assert 1 in tiers and 8 in tiers
         assert 0.0 in supplies and 1.0 in supplies
         assert any(case.split_networks for case in cases)
-        assert any(case.wl_resync_interval is not None for case in cases)
 
     def test_json_roundtrip_preserves_identity(self):
         for case in generate_cases(10, seed=2):

@@ -184,51 +184,16 @@ class TestKernelReport:
         result = FingerPadExchanger(design, params=FAST_SA).run(baseline, seed=9)
         self.assert_matches_exact(design, result)
 
-    def test_with_wirelength_guard(self):
-        design = circuit_design(2, 4)
-        baseline = assign_design(RandomAssigner(), design, seed=3)
-        weights = CostWeights(wirelength=0.5)
-        result = FingerPadExchanger(
-            design, weights=weights, params=FAST_SA
-        ).run(baseline, seed=9)
-        self.assert_matches_exact(design, result, weights=weights)
-
-    def test_wirelength_term_is_exact_not_accumulated(self):
-        """The report's wirelength term is the resync, not the accumulator."""
-        design = circuit_design(1, 1)
-        baseline = assign_design(DFAAssigner(), design)
-        kernel = ArrayExchangeKernel(
-            design, baseline, weights=CostWeights(wirelength=1.0)
-        )
-        assert kernel.breakdown()["wirelength"] == 1.0
-        rng = random.Random(2)
-        for __ in range(40):
-            move = kernel.propose(rng)
-            if move is not None:
-                kernel.apply(move)
-        drifting = kernel._wl_total
-        kernel._wl_total += 1.0  # corrupt the accumulator only
-        assert kernel.breakdown()["wirelength"] == pytest.approx(
-            drifting / kernel._wl_initial, rel=1e-12
-        )
-
 
 class TestDeltaExactness:
     """Kernel totals against the exact Eq.-3 model along random walks."""
 
-    @pytest.mark.parametrize(
-        "split,wirelength", [(False, 0.0), (True, 0.0), (False, 0.25)]
-    )
-    def test_random_walk_within_1e9(self, split, wirelength):
+    @pytest.mark.parametrize("split", [False, True])
+    def test_random_walk_within_1e9(self, split):
         design = circuit_design(3, 4)
         baseline = assign_design(RandomAssigner(), design, seed=3)
-        weights = CostWeights(wirelength=wirelength)
-        kernel = ArrayExchangeKernel(
-            design, baseline, weights=weights, split_networks=split
-        )
-        exact = ExchangeCost(
-            design, baseline, weights=weights, split_networks=split
-        )
+        kernel = ArrayExchangeKernel(design, baseline, split_networks=split)
+        exact = ExchangeCost(design, baseline, split_networks=split)
         current = {side: a.copy() for side, a in baseline.items()}
         sides = list(design.sides)
         rng = random.Random(11)
@@ -457,16 +422,6 @@ class TestPolishScreen:
                 s: a.order for s, a in object_result.after.items()
             }
 
-    def test_greedy_matches_exact_object_loop_with_wirelength(self):
-        design = circuit_design(2, 4)
-        baseline = assign_design(RandomAssigner(), design, seed=3)
-        exchanger = GreedyExchanger(design, weights=CostWeights(wirelength=0.5))
-        kernel_result = exchanger.run(baseline)
-        object_result = exchanger._run_object(baseline, 0, cost_class=ExchangeCost)
-        assert {s: a.order for s, a in kernel_result.after.items()} == {
-            s: a.order for s, a in object_result.after.items()
-        }
-
     @pytest.mark.parametrize("tiers,index", ALL_CONFIGS + [(1, 1792)])
     @pytest.mark.parametrize("weights", [None, CostWeights(density=0.0)])
     @pytest.mark.parametrize(
@@ -661,77 +616,3 @@ class TestKernelSpeed:
 def test_numpy_is_available():
     """The array backend is part of this repo's supported surface."""
     assert np is not None
-
-
-class TestResyncCrossingParity:
-    """Wirelength float-drift resyncs must be invisible to the SA trace.
-
-    The kernel periodically replaces its incrementally accumulated
-    wirelength with a vectorized exact recomputation.  If the resynced
-    value ever differed enough to flip a Metropolis decision, the array
-    and object backends would diverge from that move on — so a run forced
-    across many resync boundaries must still be move-for-move identical.
-    """
-
-    @settings(max_examples=6, deadline=None)
-    @given(
-        count=st.integers(min_value=16, max_value=40),
-        seed=st.integers(min_value=0, max_value=2 ** 16),
-        tiers=st.sampled_from([1, 2, 4]),
-    )
-    def test_parity_across_resync_boundaries(self, count, seed, tiers):
-        import repro.kernels.exchange as kernel_module
-
-        design = build_design(
-            CircuitSpec(
-                f"resync{count}", count, quadrant_count=4,
-                rows_per_quadrant=2, tier_count=tiers,
-            ),
-            seed=0,
-        )
-        baseline = assign_design(DFAAssigner(), design, seed=0)
-        weights = CostWeights(wirelength=1.0)
-        original = kernel_module.WL_RESYNC_INTERVAL
-        kernel_module.WL_RESYNC_INTERVAL = 5
-        try:
-            object_trace, object_orders, object_stats = run_object_backend(
-                design, baseline, FAST_SA, seed, weights=weights
-            )
-            array_trace, array_orders, array_stats, kernel = run_array_backend(
-                design, baseline, FAST_SA, seed, weights=weights
-            )
-        finally:
-            kernel_module.WL_RESYNC_INTERVAL = original
-        assert kernel.resync_count >= 2, (
-            "schedule too short to cross two resync boundaries"
-        )
-        assert array_trace == object_trace
-        assert array_orders == object_orders
-        assert array_stats.accepted == object_stats.accepted
-        exact = ExchangeCost(design, baseline, weights=weights)
-        assert kernel.cost() == pytest.approx(
-            exact.total(kernel.assignments()), rel=1e-9
-        )
-
-    def test_constructor_interval_overrides_the_global(self):
-        design = circuit_design(1, 1)
-        baseline = assign_design(DFAAssigner(), design, seed=0)
-        weights = CostWeights(wirelength=1.0)
-        kernel = ArrayExchangeKernel(
-            design, baseline, weights=weights, wl_resync_interval=1
-        )
-        rng = random.Random(0)
-        applied = 0
-        for _ in range(50):
-            move = kernel.propose(rng)
-            if move is None:
-                continue
-            kernel.apply(move)
-            applied += 1
-        assert applied and kernel.resync_count == applied
-
-    def test_bad_interval_rejected(self):
-        design = circuit_design(1, 1)
-        baseline = assign_design(DFAAssigner(), design, seed=0)
-        with pytest.raises(ExchangeError):
-            ArrayExchangeKernel(design, baseline, wl_resync_interval=0)
