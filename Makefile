@@ -46,7 +46,8 @@ bench-pipeline:
 
 # Observability null-path gate (<30 s): the instrumented SA loop with
 # telemetry disabled must be within 2% of a telemetry-free replica
-# (see docs/observability.md); writes results/BENCH_obs.json.
+# (see docs/observability.md); `pytest benchmarks/bench_obs.py` records
+# results/BENCH_obs.json.
 bench-obs:
 	PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) python benchmarks/bench_obs.py
 
@@ -82,16 +83,16 @@ crash-smoke:
 
 # Serving-layer throughput gate (<60 s): cold/hot/duplicate request mixes
 # against an in-process daemon; fails below the hot-cache req/s floor or
-# if the duplicate burst executes more than one job.  Writes
-# results/BENCH_serve.json.
+# if the duplicate burst executes more than one job
+# (`pytest benchmarks/bench_serve.py` records results/BENCH_serve.json).
 bench-serve:
 	@mkdir -p results
 	PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) python benchmarks/bench_serve.py --smoke
 
 # Durability overhead gate (<90 s): the journal on the hot serve path must
 # stay within 10% of the unjournaled daemon's hot req/s, and periodic SA
-# checkpointing must cost <= 5% anneal walltime.  Writes
-# results/BENCH_journal.json.
+# checkpointing must cost <= 5% anneal walltime
+# (`pytest benchmarks/bench_journal.py` records results/BENCH_journal.json).
 bench-journal:
 	@mkdir -p results
 	PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) python benchmarks/bench_journal.py
@@ -104,7 +105,8 @@ tune-smoke:
 
 # Parallel-tempering quality gate (<60 s): K=4 replica exchange must reach
 # an equal-or-better Eq.-3 cost than the single chain on the benchmark
-# circuits at the pinned seed.  Writes results/BENCH_tempering.json.
+# circuits at the pinned seed (`pytest benchmarks/bench_tempering.py`
+# records results/BENCH_tempering.json).
 bench-tempering:
 	@mkdir -p results
 	PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) python benchmarks/bench_tempering.py --smoke

@@ -18,8 +18,8 @@ be cheap enough to leave on everywhere:
     are interleaved and each takes its min-of-N, so a turbo/noise drift
     mid-bench hits both sides equally.
 
-Writes ``results/BENCH_journal.json`` for ``repro stats --compare``
-regression diffing.  The gates always run — this is the
+The pytest run writes ``results/BENCH_journal.json`` for ``repro stats
+--compare`` regression diffing.  The gates always run — this is the
 ``make bench-journal`` CI check; ``--smoke`` only shrinks the sizes::
 
     PYTHONPATH=src python benchmarks/bench_journal.py
@@ -299,7 +299,6 @@ def main(argv=None) -> int:
     row = measure(jobs=jobs, concurrency=args.concurrency,
                   workers=args.workers, repeats=repeats)
     print(render(row))
-    _write_record(row)
     problems = _problems(row)
     for problem in problems:
         print(f"FAIL: {problem}", file=sys.stderr)

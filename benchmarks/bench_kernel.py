@@ -3,11 +3,13 @@
 ``bench_scaling`` sweeps the *assignment* step; this bench sweeps the
 *exchange* step — the SA loop that dominates the co-design flow — far past
 the paper's largest circuit (448 fingers).  For each design size it times
-propose+apply+cost move batches on both backends and reports microseconds
-per move and the speedup.  The object backend re-derives a dirtied side's
-runs on every evaluation (O(rows x n) per move), so its per-move cost
-grows with the design while the kernel's stays flat; the speedup therefore
-*increases* with size.  The acceptance floor: >= 10x at 1792 fingers.
+propose+apply+cost move batches on the array kernel and on the object
+model (``MoveGenerator`` + the from-scratch ``ExchangeCost``, the kernel's
+reference) and reports microseconds per move and the speedup.  The object
+model re-derives every side's pad fractions, runs and groups on every
+evaluation, so its per-move cost grows with the design while the kernel's
+stays flat; the speedup therefore *increases* with size.  The acceptance
+floor: >= 10x at 1792 fingers.
 
 Also runnable without pytest as a CI smoke::
 
@@ -16,6 +18,7 @@ Also runnable without pytest as a CI smoke::
 which sweeps only 448/1792, asserts array >= 2x object at 1792 and that
 the polish from the 1792-finger DFA start swaps nothing (its screen finds
 every legal swap uphill), and exits non-zero otherwise (< 30 s wall clock).
+Only the pytest run writes ``results/BENCH_kernel.json``.
 
 ``ledger_metrics`` (``repro bench run --only kernel``) times the polish at
 16,384 fingers from the DFA start, where a screened polish finds nothing
@@ -35,7 +38,7 @@ import numpy as np
 
 from repro.assign import DFAAssigner, assign_design
 from repro.circuits import CircuitSpec, build_design, table1_circuit
-from repro.exchange import CachedExchangeCost, MoveGenerator, SAParams, SimulatedAnnealer
+from repro.exchange import ExchangeCost, MoveGenerator, SAParams, SimulatedAnnealer
 from repro.kernels import ArrayExchangeKernel
 
 FULL_COUNTS = (448, 1792, 7168, 14336)
@@ -43,10 +46,11 @@ SMOKE_COUNTS = (448, 1792)
 
 #: Move budget for the array kernel (O(1)/move: generous budgets are cheap).
 ARRAY_MOVES = 4000
-#: Per-size move budgets for the object backend, shrinking with size so the
-#: largest sweep points stay minutes-not-hours (its per-move cost is
-#: O(rows x n)); microseconds/move stays comparable regardless of budget.
-OBJECT_MOVES = {448: 1500, 1792: 400, 7168: 60, 14336: 20}
+#: Per-size move budgets for the object model, shrinking with size so the
+#: largest sweep points stay seconds (its per-move cost grows faster than
+#: n: ~15 ms at 1792 fingers, ~0.6 s at 14336 on a 2-CPU x86_64 host);
+#: microseconds/move stays comparable regardless of budget.
+OBJECT_MOVES = {448: 500, 1792: 150, 7168: 20, 14336: 8}
 
 #: Perf-ledger point: ``polish(POLISH_PASSES)`` from the DFA start at
 #: ``LEDGER_COUNT`` fingers, the median of ``LEDGER_REPEATS`` fresh kernels.
@@ -88,15 +92,10 @@ def measure_point(count: int, object_moves: int) -> dict:
     array_us = _timed_walk(kernel.propose, kernel.apply, kernel.cost, ARRAY_MOVES)
 
     working = {side: a.copy() for side, a in baseline.items()}
-    cost = CachedExchangeCost(design, baseline)
+    cost = ExchangeCost(design, baseline)
     generator = MoveGenerator(design, working)
-
-    def object_apply(move) -> None:
-        generator.apply(move)
-        cost.mark_dirty(move.side)
-
     object_us = _timed_walk(
-        generator.propose, object_apply, lambda: cost.total(working), object_moves
+        generator.propose, generator.apply, lambda: cost.total(working), object_moves
     )
     return {
         "count": count,
@@ -209,7 +208,6 @@ def main(argv=None) -> int:
     counts = SMOKE_COUNTS if args.smoke else FULL_COUNTS
     rows = sweep(counts)
     print(render(rows))
-    write_record(rows)
     if args.smoke:
         speedup = next(r["speedup"] for r in rows if r["count"] == 1792)
         if speedup < 2.0:

@@ -16,8 +16,8 @@ CI gate::
 
     PYTHONPATH=src python benchmarks/bench_obs.py
 
-and as a pytest bench (``test_obs_overhead``).  Also writes the overhead
-figures to ``results/BENCH_obs.json``.  Wall clock well under 30 s.
+and as a pytest bench (``test_obs_overhead``), which alone writes the
+overhead figures to ``results/BENCH_obs.json``.  Wall clock well under 30 s.
 """
 
 from __future__ import annotations
@@ -194,7 +194,6 @@ def _write_record(row: dict) -> None:
 
 def ledger_metrics() -> dict:
     row = measure()
-    _write_record(row)
     return {k: round(v, 6) for k, v in row.items()}
 
 
@@ -208,7 +207,6 @@ def test_obs_overhead(record_result):
 def main(argv=None) -> int:
     row = measure()
     print(render(row))
-    _write_record(row)
     if row["overhead"] > MAX_OVERHEAD:
         print("FAIL: observability null path exceeds the overhead gate")
         return 1

@@ -4,8 +4,9 @@ The paper claims IFA is O(n^2) and DFA is O(n) (sections 3.1.1-3.1.2) and
 motivates both with the >100-finger counts of modern chips.  This bench
 sweeps the finger count well past the paper's largest circuit (448) and
 reports runtime plus density, confirming the heuristics stay at the
-congestion floor while the random baseline keeps degrading.  The sweep is
-persisted to ``results/BENCH_scaling.json`` for ``repro stats --compare``.
+congestion floor while the random baseline keeps degrading.  The pytest
+run persists the sweep to ``results/BENCH_scaling.json`` for ``repro stats
+--compare``.
 
 Also runnable without pytest::
 
@@ -30,7 +31,6 @@ LEDGER_SEED = 0
 
 def ledger_metrics() -> dict:
     rows = sweep(COUNTS)
-    write_record(rows)
     metrics = {}
     for row in rows:
         count = row["count"]
@@ -108,7 +108,6 @@ def test_scaling(benchmark, record_result):
 def main() -> int:
     rows = sweep(COUNTS)
     print(render(rows))
-    write_record(rows)
     return 0
 
 

@@ -13,9 +13,9 @@ pool) through the three request mixes that exercise its distinct paths:
     N concurrent *identical* requests for a job the daemon has never
     seen — the dedup path: exactly one execution, N-1 joins.
 
-Each mix reports p50/p99 latency and req/s; the record lands in
-``results/BENCH_serve.json`` for ``repro stats --compare`` regression
-diffing.  ``--smoke`` shrinks the mix sizes and gates on a conservative
+Each mix reports p50/p99 latency and req/s; the pytest run writes the
+record to ``results/BENCH_serve.json`` for ``repro stats --compare``
+regression diffing.  ``--smoke`` shrinks the mix sizes and gates on a conservative
 hot-cache req/s floor plus the dedup single-execution invariant —
 that is the ``make bench-serve`` CI check::
 
@@ -199,7 +199,6 @@ def _problems(row: Dict[str, float]) -> List[str]:
 
 def ledger_metrics() -> Dict[str, float]:
     row = measure(jobs=8, concurrency=4)
-    _write_record(row)
     return {key: round(value, 6) for key, value in row.items()}
 
 
@@ -224,7 +223,6 @@ def main(argv=None) -> int:
     row = measure(jobs=jobs, concurrency=args.concurrency,
                   workers=args.workers)
     print(render(row))
-    _write_record(row)
     problems = _problems(row)
     for problem in problems:
         print(f"FAIL: {problem}", file=sys.stderr)

@@ -17,13 +17,7 @@ from repro.assign import assign_design
 from repro.assign import DFAAssigner
 from repro.circuits import CIRCUIT_2, build_design
 from repro.exchange import CostWeights, FingerPadExchanger, SAParams
-from repro.power import (
-    FDSolver,
-    Floorplan,
-    Module,
-    PowerGridConfig,
-    weighted_compact_cost,
-)
+from repro.power import FDSolver, Floorplan, Module, PowerGridConfig
 from repro.power.pads import pad_nodes_for_grid
 from repro.units import fmt_mv
 from repro.viz import render_current_map, render_irdrop_map
@@ -70,7 +64,7 @@ def main() -> None:
         weights=CostWeights(ir=1.0, density=0.05),
         params=SA,
         net_type=None,
-        ir_proxy=lambda fractions: weighted_compact_cost(fractions, demand),
+        demand=demand,
     ).run(initial, seed=7)
     print(f"floorplan-aware exchange:     {fmt_mv(max_drop(aware.after))}")
     print()

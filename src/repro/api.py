@@ -18,8 +18,8 @@ keywords with the same meaning:
     JSONL trace at that path for the duration of the call.
 
 Every stage runs its one production path, the array kernels of
-:mod:`repro.kernels`; only a custom exchange ``ir_proxy`` runs the object
-loop (see :class:`~repro.exchange.FingerPadExchanger`).
+:mod:`repro.kernels`, with or without a demand-weighted IR proxy (see
+:class:`~repro.exchange.FingerPadExchanger`).
 
 Typical session::
 

@@ -30,7 +30,7 @@ import numpy as np
 from ..assign import DFAAssigner, RandomAssigner, swap_is_legal
 from ..exchange import CostWeights, FingerPadExchanger, SAParams
 from ..package import NetType, PackageDesign
-from ..power import FDSolver, PowerGridConfig, weighted_compact_cost
+from ..power import FDSolver, PowerGridConfig
 from ..power.pads import pad_nodes_for_grid
 from ..units import to_mv
 from .generator import build_design
@@ -168,10 +168,6 @@ def optimized_plan(
     (:func:`boundary_demand` or :func:`drop_map_demand`).
     """
     assignments = assign_design(DFAAssigner(), design)
-    if demand is None:
-        ir_proxy = None  # the paper's uniform gap-spread proxy
-    else:
-        ir_proxy = lambda fractions: weighted_compact_cost(fractions, demand)
     exchanger = FingerPadExchanger(
         design,
         weights=CostWeights(ir=1.0, density=0.05, bonding=0.0),
@@ -180,7 +176,7 @@ def optimized_plan(
             initial_temp=0.03, final_temp=1e-4, cooling=0.96, moves_per_temp=300
         ),
         net_type=None,
-        ir_proxy=ir_proxy,
+        demand=demand,
     )
     return exchanger.run(assignments, seed=seed).after
 

@@ -11,14 +11,12 @@ from .bonding import (
 )
 from .cost import CostWeights, ExchangeCost
 from .exchanger import ExchangeResult, FingerPadExchanger
-from .fastcost import CachedExchangeCost
 from .greedy import GreedyExchanger
 from .moves import MoveGenerator, SwapMove
 from .sections import DesignSectionTracker, SectionTracker, interval_numbers
 from .tempering import initial_chain_state, run_segment, swap_accept
 
 __all__ = [
-    "CachedExchangeCost",
     "CostWeights",
     "DesignSectionTracker",
     "ExchangeCost",

@@ -71,6 +71,14 @@ class SAParams:
             raise ValueError("final temperature must not exceed the initial one")
         if not (0.0 < self.cooling < 1.0):
             raise ValueError("cooling factor must be in (0, 1)")
+        # the loop runs range(moves_per_temp): a float (e.g. 2.5 from JSON
+        # job params) would only fail mid-anneal, a bool reads as 0 or 1
+        if not isinstance(self.moves_per_temp, int) or isinstance(
+            self.moves_per_temp, bool
+        ):
+            raise ValueError(
+                f"moves_per_temp must be an int, not {self.moves_per_temp!r}"
+            )
         if self.moves_per_temp < 1:
             raise ValueError("moves_per_temp must be >= 1")
 

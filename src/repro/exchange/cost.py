@@ -2,7 +2,8 @@
 
     Cost = lambda * delta_IR + rho * ID + phi * omega
 
-``delta_IR`` is the compact IR proxy (power-pad gap spread), ``ID`` the
+``delta_IR`` is the compact IR proxy (power-pad gap spread, optionally
+weighted by a core current demand), ``ID`` the
 increased density of Eq. 2 and ``omega`` the bonding-wire zero-bit count.
 Each term is normalized against the state right after the congestion-driven
 assignment so the weights compare like against like:
@@ -19,8 +20,15 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Optional
 
+from ..errors import PowerModelError
 from ..package import NetType, PackageDesign
-from ..power import compact_ir_cost, supply_pad_fractions
+from ..power import (
+    compact_ir_cost,
+    demand_weights,
+    supply_pad_fractions,
+    weighted_compact_cost,
+)
+from ..power.compact import ZERO_BASELINE
 from .bonding import omega_of_design
 from .sections import DesignSectionTracker
 
@@ -42,7 +50,11 @@ class CostWeights:
 
 
 class ExchangeCost:
-    """Evaluates Eq. 3 for a design under its current assignments."""
+    """Evaluates Eq. 3 for a design under its current assignments.
+
+    Every call re-derives the terms from scratch: the reference the array
+    kernel is proven against.
+    """
 
     def __init__(
         self,
@@ -50,7 +62,7 @@ class ExchangeCost:
         baseline_assignments: Dict,
         weights: Optional[CostWeights] = None,
         net_type: Optional[NetType] = NetType.POWER,
-        ir_proxy=None,
+        demand=None,
         track_all_rows: bool = True,
         split_networks: bool = False,
     ) -> None:
@@ -61,15 +73,27 @@ class ExchangeCost:
         self.sections = DesignSectionTracker(
             baseline_assignments, all_rows=track_all_rows
         )
-        # ir_proxy maps a list of pad perimeter fractions to a scalar cost;
-        # the default is the paper's uniform-demand gap-spread proxy, but a
-        # demand-weighted proxy (repro.power.weighted_compact_cost) can be
-        # injected for chips with hot blocks.
-        self.ir_proxy = ir_proxy or compact_ir_cost
+        # The paper's uniform gap-spread proxy, or for chips with hot blocks
+        # the demand-weighted one over the kernel's own weight table, read
+        # at each gap's half-slot midpoint.
+        if demand is None:
+            self._gap_cost = compact_ir_cost
+        else:
+            table = demand_weights(demand, design.ring_slot_count())
+            count = len(table)
+
+            def weight(fraction: float) -> int:
+                return table[round(fraction * count) % count]
+
+            self._gap_cost = lambda fractions: weighted_compact_cost(
+                fractions, weight
+            )
         # split_networks scores the VDD and VSS networks separately — both
         # must be evenly supplied, not just their union.
         self.split_networks = split_networks
-        self._ir_initial = max(self._raw_ir(baseline_assignments), 1e-12)
+        self._ir_initial = self._raw_ir(baseline_assignments)
+        if not self._ir_initial:
+            raise PowerModelError(ZERO_BASELINE)
         self._omega_initial = max(
             omega_of_design(baseline_assignments, self.psi), 1
         )
@@ -77,14 +101,14 @@ class ExchangeCost:
     def _raw_ir(self, assignments: Dict) -> float:
         if self.split_networks:
             return sum(
-                self.ir_proxy(
+                self._gap_cost(
                     supply_pad_fractions(
                         self.design, assignments, net_type=network
                     )
                 )
                 for network in (NetType.POWER, NetType.GROUND)
             )
-        return self.ir_proxy(
+        return self._gap_cost(
             supply_pad_fractions(self.design, assignments, net_type=self.net_type)
         )
 

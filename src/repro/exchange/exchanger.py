@@ -15,8 +15,7 @@ from ..assign import Assignment, check_legal
 from ..package import NetType, PackageDesign
 from .annealer import SAParams, SAStats, SimulatedAnnealer
 from .bonding import omega_of_design
-from .cost import CostWeights
-from .fastcost import CachedExchangeCost
+from .cost import CostWeights, ExchangeCost
 from .moves import MoveGenerator
 
 
@@ -46,13 +45,14 @@ class FingerPadExchanger:
     The anneal runs on :class:`~repro.kernels.ArrayExchangeKernel`: flat
     ``int``-list state with O(1) integer swap deltas, which also writes the
     before/after Eq.-3 breakdown and omega of the :class:`ExchangeResult`.
-    The kernel hard-codes the paper's compact gap-spread IR proxy, so a custom
-    ``ir_proxy`` is the one input that selects the object loop instead:
-    :class:`CachedExchangeCost` over ``Assignment`` objects.  That loop is
-    also the reference the kernel is proven move-for-move identical to
-    under a shared seed (``tests/test_kernels.py``, the ``backends`` fuzz
-    oracle), which additionally runs it on the from-scratch
-    :class:`~repro.exchange.ExchangeCost`.
+    ``demand`` (a perimeter fraction -> relative current demand callable)
+    weights the compact IR proxy towards hot boundary stretches; the kernel
+    reads it as one integer weight table.  :meth:`_run_object`, the
+    ``Assignment``-object loop on the from-scratch
+    :class:`~repro.exchange.ExchangeCost`, is the reference the kernel is
+    proven move-for-move identical to under a shared seed
+    (``tests/test_kernels.py``, the ``backends`` fuzz oracle); no
+    production caller runs it.
     """
 
     def __init__(
@@ -62,7 +62,7 @@ class FingerPadExchanger:
         params: Optional[SAParams] = None,
         net_type: Optional[NetType] = NetType.POWER,
         power_only: Optional[bool] = None,
-        ir_proxy=None,
+        demand=None,
         track_all_rows: bool = True,
         split_networks: bool = False,
         polish_passes: int = 20,
@@ -79,21 +79,18 @@ class FingerPadExchanger:
         self.params = params or SAParams()
         self.net_type = net_type
         self.power_only = power_only
-        self.ir_proxy = ir_proxy
+        self.demand = demand
         self.track_all_rows = track_all_rows
         self.split_networks = split_networks
         self.polish_passes = polish_passes
         #: Optional :class:`~repro.exchange.checkpoint.SACheckpointer`:
         #: the anneal periodically persists its full state and resumes
-        #: bit-identically after a crash.  Kernel anneals only — the
-        #: object loop's cost caches have no captured-state form.
+        #: bit-identically after a crash.
         self.checkpoint = checkpoint
 
     def run(self, assignments: Dict, seed: Optional[int] = None) -> ExchangeResult:
         """Anneal from *assignments*; the input objects are not mutated."""
-        if self.ir_proxy is None:
-            return self._run_array(assignments, seed)
-        return self._run_object(assignments, seed)
+        return self._run_array(assignments, seed)
 
     def _run_array(self, assignments: Dict, seed: Optional[int]) -> ExchangeResult:
         """Anneal on the flat-array kernel, which also writes the report."""
@@ -110,6 +107,7 @@ class FingerPadExchanger:
                 assignments,
                 weights=self.weights,
                 net_type=self.net_type,
+                demand=self.demand,
                 track_all_rows=self.track_all_rows,
                 split_networks=self.split_networks,
                 power_only=self.power_only,
@@ -172,11 +170,11 @@ class FingerPadExchanger:
             )
 
     def _checkpoint_run_key(self, kernel, seed: Optional[int]) -> str:
-        """Identity of one anneal: seed + schedule + weights + baseline.
+        """Identity of one anneal: seed + schedule + weights + demand + baseline.
 
         A checkpoint whose run key differs answers a different question
-        (other seed, other circuit, other schedule) and must read as
-        absent rather than resume.
+        (other seed, circuit, schedule or demand) and must read as absent
+        rather than resume.
         """
         import hashlib
         import json
@@ -195,6 +193,9 @@ class FingerPadExchanger:
                 self.weights.density,
                 self.weights.bonding,
             ],
+            "demand": hashlib.sha256(
+                json.dumps(kernel.ir_weights).encode("ascii")
+            ).hexdigest(),
             "orders": {
                 str(side): order for side, order in kernel.orders().items()
             },
@@ -202,39 +203,25 @@ class FingerPadExchanger:
         canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
-    def _run_object(
-        self,
-        assignments: Dict,
-        seed: Optional[int],
-        cost_class=CachedExchangeCost,
-    ) -> ExchangeResult:
-        """Anneal on ``Assignment`` objects under *cost_class*.
+    def _run_object(self, assignments: Dict, seed: Optional[int]) -> ExchangeResult:
+        """Anneal on ``Assignment`` objects under the from-scratch cost.
 
-        The production path for a custom ``ir_proxy`` and the reference
-        for the kernel; parity checks pass ``ExchangeCost`` to
-        re-derive the cost from scratch on every move.
+        The reference for the kernel: :class:`ExchangeCost` re-derives
+        Eq. 3 on every move, so a shared seed must walk both through the
+        identical trace to the identical orders.
         """
-        if self.checkpoint is not None:
-            from ..errors import ExchangeError
-
-            raise ExchangeError(
-                "SA checkpointing requires the array kernel, which a custom "
-                "ir_proxy rules out; the object loop's cost caches have no "
-                "captured-state form"
-            )
         before = {side: assignment.copy() for side, assignment in assignments.items()}
         working = {side: assignment.copy() for side, assignment in assignments.items()}
 
-        cost = cost_class(
+        cost = ExchangeCost(
             self.design,
             before,
             weights=self.weights,
             net_type=self.net_type,
-            ir_proxy=self.ir_proxy,
+            demand=self.demand,
             track_all_rows=self.track_all_rows,
             split_networks=self.split_networks,
         )
-        mark_dirty = getattr(cost, "mark_dirty", lambda side: None)
         moves = MoveGenerator(
             self.design, working, power_only=self.power_only
         )
@@ -243,14 +230,6 @@ class FingerPadExchanger:
         def snapshot() -> Dict:
             return {side: assignment.order for side, assignment in working.items()}
 
-        def apply(move) -> None:
-            moves.apply(move)
-            mark_dirty(move.side)
-
-        def undo(move) -> None:
-            moves.undo(move)
-            mark_dirty(move.side)
-
         from ..obs.spans import span
         from ..runtime.telemetry import get_telemetry
 
@@ -258,8 +237,8 @@ class FingerPadExchanger:
         with span("sa.anneal", telemetry):
             stats = annealer.optimize(
                 propose=moves.propose,
-                apply=apply,
-                undo=undo,
+                apply=moves.apply,
+                undo=moves.undo,
                 cost=lambda: cost.total(working),
                 seed=seed,
                 snapshot=snapshot,
@@ -274,7 +253,7 @@ class FingerPadExchanger:
         }
         if self.polish_passes:
             with span("exchange.polish", telemetry):
-                self._polish(after, cost, mark_dirty)
+                self._polish(after, cost)
         for assignment in after.values():
             check_legal(assignment)
 
@@ -289,7 +268,7 @@ class FingerPadExchanger:
             omega_after=omega_of_design(after, psi),
         )
 
-    def _polish(self, assignments: Dict, cost, mark_dirty) -> None:
+    def _polish(self, assignments: Dict, cost) -> None:
         """Zero-temperature finish: sweep every adjacent legal swap.
 
         Accepting only strict improvements until a full sweep finds none
@@ -298,23 +277,19 @@ class FingerPadExchanger:
         """
         from ..assign import swap_is_legal
 
-        for side in assignments:
-            mark_dirty(side)  # the polish operates on a fresh dict
         current = cost.total(assignments)
         for __ in range(self.polish_passes):
             improved = False
-            for side, assignment in assignments.items():
+            for assignment in assignments.values():
                 for slot in range(1, assignment.slot_count):
                     if not swap_is_legal(assignment, slot, slot + 1):
                         continue
                     assignment.swap_slots(slot, slot + 1)
-                    mark_dirty(side)
                     candidate = cost.total(assignments)
                     if candidate < current - 1e-12:
                         current = candidate
                         improved = True
                     else:
                         assignment.swap_slots(slot, slot + 1)
-                        mark_dirty(side)
             if not improved:
                 break

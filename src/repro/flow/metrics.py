@@ -58,6 +58,7 @@ def measure(
                 design, grid_config=grid_config, net_type=net_type
             )
             ir_drop = analyzer.max_drop(assignments)
+            del analyzer  # free the factorization inside the span
     psi = design.stacking.tier_count
     omega = None
     if psi > 1:

@@ -3,7 +3,7 @@
 A :class:`FuzzCase` is a fully JSON-serializable bundle of everything one
 fuzz trial needs: ``CircuitSpec`` keyword arguments, the design seed, the
 run seed and the exchange knobs (SA schedule, cost weights, network
-splitting, row tracking).  Serializability is what makes a
+splitting, row tracking, IR demand profile).  Serializability is what makes a
 failing case *portable*: the shrinker rewrites it field by field and the
 minimized result lands verbatim in the JSON corpus under
 ``tests/data/fuzz_corpus/``.
@@ -23,7 +23,7 @@ import hashlib
 import json
 import random
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterator
+from typing import Dict, Iterator, Optional, Tuple
 
 from ..errors import CircuitSpecError
 
@@ -46,6 +46,10 @@ _WEIGHT_POOL = (0.0, 0.5, 1.0, 3.0)
 #: Net-id stride: 3 leaves gaps a dense id table still covers; 1000 spreads
 #: ids far beyond the net count, like a hand-written or JSON-loaded design.
 _ID_STRIDE_POOL = (1, 1, 1, 1, 1, 1, 3, 1000)
+#: IR demand profiles: piecewise-constant over the ring, strictly positive
+#: (a zero-weight baseline leaves the IR term nothing to normalize by).
+_DEMAND_LENGTH_POOL = (1, 2, 3, 8)
+_DEMAND_POOL = (0.1, 0.5, 1.0, 1.0, 4.0)
 
 
 @dataclass(frozen=True)
@@ -62,6 +66,9 @@ class FuzzCase:
     #: spreads and reverses the generated net ids, so netlist order is not
     #: id order (see ``build_design``)
     id_stride: int = 1
+    #: piecewise-constant IR demand over the ring (see ``demand_fn``);
+    #: None is the paper's uniform proxy
+    demand: Optional[Tuple[float, ...]] = None
 
     # -- identity ----------------------------------------------------------
 
@@ -77,6 +84,8 @@ class FuzzCase:
         }
         if self.id_stride != 1:  # contiguous-id cases keep a stride-free digest
             payload["id_stride"] = self.id_stride
+        if self.demand is not None:  # uniform cases keep a demand-free digest
+            payload["demand"] = list(self.demand)
         return payload
 
     @classmethod
@@ -90,6 +99,11 @@ class FuzzCase:
             split_networks=bool(payload.get("split_networks", False)),
             track_all_rows=bool(payload.get("track_all_rows", True)),
             id_stride=int(payload.get("id_stride", 1)),
+            demand=(
+                tuple(float(value) for value in payload["demand"])
+                if payload.get("demand") is not None
+                else None
+            ),
         )
 
     def digest(self) -> str:
@@ -136,6 +150,19 @@ class FuzzCase:
         from ..exchange import CostWeights
 
         return CostWeights(**self.weights) if self.weights else CostWeights()
+
+    def demand_fn(self):
+        """The exchange ``demand`` callable: the profile's stretch of the
+        ring behind a perimeter fraction (None without a profile)."""
+        if self.demand is None:
+            return None
+        profile = self.demand
+        last = len(profile) - 1
+
+        def demand(fraction: float) -> float:
+            return profile[min(int(fraction * len(profile)), last)]
+
+        return demand
 
 
 class CaseGenerator:
@@ -225,6 +252,14 @@ class CaseGenerator:
             split_networks=rng.random() < 0.3,
             track_all_rows=rng.random() < 0.8,
             id_stride=rng.choice(_ID_STRIDE_POOL),
+            demand=(
+                tuple(
+                    rng.choice(_DEMAND_POOL)
+                    for __ in range(rng.choice(_DEMAND_LENGTH_POOL))
+                )
+                if rng.random() < 0.3
+                else None
+            ),
         )
 
     def _fallback(self, rng: random.Random) -> FuzzCase:

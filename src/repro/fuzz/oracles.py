@@ -29,10 +29,10 @@ Oracles
     solver vs the reference assemble-and-solve path (within 1e-9, for
     both uniform and hotspot injection vectors).
 ``backends``
-    The exchange's array kernel vs the object loop on the cached
-    (``CachedExchangeCost``) and the from-scratch (``ExchangeCost``) cost
-    under a shared seed must produce the identical accept/reject trace,
-    final orders, and Eq.-3 cost breakdowns — each additionally
+    The exchange's array kernel vs the object loop on the from-scratch
+    ``ExchangeCost`` under a shared seed, with the case's IR demand
+    profile (if any) on both, must produce the identical accept/reject
+    trace, final orders, and Eq.-3 cost breakdowns — each additionally
     cross-checked against ``verify.check_exchange_total``'s from-scratch
     re-derivation.  A polish-only leg (``GreedyExchanger`` from the
     baseline, no anneal) holds the kernel's screened polish to the
@@ -375,7 +375,7 @@ def oracle_irsolve_parity(case: FuzzCase) -> List[str]:
 
 
 def _exchanger(case: FuzzCase, design, cls=None, **kwargs):
-    """An exchanger configured by the case (weights, rows, networks)."""
+    """An exchanger configured by the case (weights, rows, networks, demand)."""
     from ..exchange import FingerPadExchanger
 
     return (cls or FingerPadExchanger)(
@@ -383,21 +383,16 @@ def _exchanger(case: FuzzCase, design, cls=None, **kwargs):
         weights=case.cost_weights(),
         track_all_rows=case.track_all_rows,
         split_networks=case.split_networks,
+        demand=case.demand_fn(),
         **kwargs,
     )
 
 
 def _run_exchange(case: FuzzCase, design, baseline, path: str):
-    """One anneal on *path*: the kernel, or the object loop on either cost."""
-    from ..exchange import ExchangeCost
-
+    """One anneal on *path*: the kernel, or the exact object loop."""
     exchanger = _exchanger(case, design, params=case.sa_params(), polish_passes=2)
     if path == "array":
         return exchanger.run(baseline, seed=case.run_seed)
-    if path == "exact":
-        return exchanger._run_object(
-            baseline, case.run_seed, cost_class=ExchangeCost
-        )
     return exchanger._run_object(baseline, case.run_seed)
 
 
@@ -423,10 +418,10 @@ def _diverged(label: str, other, reference) -> List[str]:
 
 def _polish_parity(case: FuzzCase, design, baseline) -> List[str]:
     """Polish only (``GreedyExchanger``): kernel vs ``ExchangeCost`` loop."""
-    from ..exchange import ExchangeCost, GreedyExchanger
+    from ..exchange import GreedyExchanger
 
     greedy = _exchanger(case, design, GreedyExchanger)
-    exact = greedy._run_object(baseline, 0, cost_class=ExchangeCost)
+    exact = greedy._run_object(baseline, 0)
     return _diverged("polish kernel vs exact", greedy.run(baseline), exact)
 
 
@@ -439,7 +434,7 @@ def oracle_backends(case: FuzzCase) -> List[str]:
 
     results: Dict[str, object] = {}
     errors: Dict[str, str] = {}
-    for path in ("object", "array", "exact"):
+    for path in ("array", "exact"):
         try:
             results[path] = _run_exchange(case, design, baseline, path)
         except ReproError as exc:
@@ -456,7 +451,7 @@ def oracle_backends(case: FuzzCase) -> List[str]:
         raise SkippedCase(f"all exchange paths raised {kinds.pop()}")
 
     problems: List[str] = []
-    reference = results["object"]
+    reference = results["exact"]
     # Schedule accounting: the step count the schedule reports must equal
     # the count the loop executed (one cost_trace entry per temperature
     # tier).  Exact-power final temps from the generator land on the float
@@ -469,16 +464,15 @@ def oracle_backends(case: FuzzCase) -> List[str]:
                 f"{path}: schedule accounting: reported "
                 f"{expected_steps} temperature steps, executed {executed}"
             )
-    for path in ("array", "exact"):
-        other = results[path]
-        for fld in ("proposed", "accepted", "accepted_uphill"):
-            if getattr(other.stats, fld) != getattr(reference.stats, fld):
-                problems.append(
-                    f"{path} vs object: stats.{fld} "
-                    f"{getattr(other.stats, fld)} != "
-                    f"{getattr(reference.stats, fld)} (trace divergence)"
-                )
-        problems.extend(_diverged(f"{path} vs object", other, reference))
+    other = results["array"]
+    for fld in ("proposed", "accepted", "accepted_uphill"):
+        if getattr(other.stats, fld) != getattr(reference.stats, fld):
+            problems.append(
+                f"array vs exact: stats.{fld} "
+                f"{getattr(other.stats, fld)} != "
+                f"{getattr(reference.stats, fld)} (trace divergence)"
+            )
+    problems.extend(_diverged("array vs exact", other, reference))
     for path, result in results.items():
         report = check_exchange_total(
             design,
@@ -488,6 +482,7 @@ def oracle_backends(case: FuzzCase) -> List[str]:
             weights=case.cost_weights(),
             split_networks=case.split_networks,
             track_all_rows=case.track_all_rows,
+            demand=case.demand_fn(),
         )
         if not report.ok:
             problems.extend(

@@ -3,16 +3,13 @@
 The production path of every pipeline stage: flat index-addressed state
 (plain ``int`` lists for the exchange's per-move state, NumPy arrays for
 the O(n) passes) plus vectorized inner loops.  The object model
-(``Assigner.assign``, ``routing.density_map``,
-``ExchangeCost``/``CachedExchangeCost`` and ``FDSolver._solve_object``)
-is the reference that tests, the fuzz oracles and ``--verify`` compare
-these kernels against; they are proven move-for-move (exchange),
-order-identical (assignment) or value-identical (density, IR solve) to
-it.  Callers never choose between the two: stock
-IFA/DFA assignment and ``max_density`` always run the kernels, and the
-exchange runs :class:`ArrayExchangeKernel` unless a custom ``ir_proxy``
-is given — the one input the kernel cannot express, which selects the
-object loop.
+(``Assigner.assign``, ``routing.density_map``, ``ExchangeCost`` and
+``FDSolver._solve_object``) is the reference that tests, the fuzz oracles
+and ``--verify`` compare these kernels against; they are proven
+move-for-move (exchange), order-identical (assignment) or value-identical
+(density, IR solve) to it.  Callers never choose between the two: stock
+IFA/DFA assignment and ``max_density`` always run the kernels, and every
+exchange, uniform or demand-weighted, runs :class:`ArrayExchangeKernel`.
 
 Stage kernels:
 

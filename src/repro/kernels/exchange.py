@@ -1,17 +1,21 @@
 """Array-backed exchange kernel: O(1) adjacent-swap deltas for the SA loop.
 
-``CachedExchangeCost`` re-derives a dirtied side's pad fractions, section
-runs and omega groups on every ``total()`` call — O(rows * n) per move,
-which caps the annealer near the paper's 448-finger circuits.  This kernel
-mirrors the object model as flat index-addressed state (see :mod:`.state`)
-and keeps every Eq.-3 ingredient incrementally:
+The from-scratch :class:`~repro.exchange.ExchangeCost` re-derives every
+side's pad fractions, section runs and omega groups on each evaluation —
+O(rows * n) per move, which caps an object-model anneal near the paper's
+448-finger circuits.  This kernel mirrors the object model as flat
+index-addressed state (see :mod:`.state`) and keeps every Eq.-3
+ingredient incrementally:
 
 * **IR term** — the compact proxy is the sum of squared circular gaps
-  between supply-pad ring positions.  All ring positions live on the
-  uniform grid ``(g - 0.5) / N``, so gaps are *integers* in slot units and
-  the proxy is ``sum(gap^2) / N^2`` exactly.  A doubly-linked ring over the
-  occupied positions per supply network turns a pad move into a four-gap
-  integer update — no floating-point accumulation, hence no drift, ever.
+  between supply-pad ring positions, each weighted by the demand at the
+  gap's midpoint.  All ring positions live on the uniform grid
+  ``(g - 0.5) / N``, so gaps are *integers* in slot units and midpoints
+  fall on half-slots; :func:`repro.power.demand_weights` turns the demand
+  into one integer weight per half-slot (all ones without a demand, the
+  paper's uniform proxy).  A doubly-linked ring over the occupied
+  positions per supply network turns a pad move into a four-gap integer
+  update — no floating-point accumulation, hence no drift, ever.
 * **density term (Eq. 2)** — an adjacent swap crosses at most one via of
   one watched line, moving one wire between two neighbouring runs.  A flat
   run-delta array plus a histogram over delta values maintains
@@ -19,9 +23,10 @@ and keeps every Eq.-3 ingredient incrementally:
 * **bonding term (omega)** — tier bitmasks per finger group; a swap only
   re-ORs the (at most) two groups it straddles, O(psi).
 
-Everything one move touches (permutations, ring links, run deltas, group
-masks, per-net lookups) is a Python ``list`` of ``int``, so a move boxes
-no NumPy scalar; the O(n) passes build the arrays they need where they run.
+Everything one move touches (permutations, ring links, gap weights, run
+deltas, group masks, per-net lookups) is a Python ``list`` of ``int``, so a
+move boxes no NumPy scalar; the O(n) passes build the arrays they need
+where they run.
 
 The kernel is the production exchange at every design size and reports
 for itself: :meth:`ArrayExchangeKernel.breakdown` returns the Eq.-3 terms
@@ -36,9 +41,9 @@ Move proposal replicates :class:`~repro.exchange.moves.MoveGenerator`
 call-for-call (same candidate ordering, same ``rng`` consumption, same
 legality rule), so a shared seed yields the *identical* accept/reject
 trace and final assignment as the object-model reference —
-``tests/test_kernels.py`` proves it on every Table-2/Table-3 circuit and
-cross-checks kernel totals against ``verify.checkers``' exact Eq.-3
-re-derivation to 1e-9.
+``tests/test_kernels.py`` proves it on every Table-2/Table-3 circuit, with
+and without a demand, and cross-checks kernel totals against
+``verify.checkers``' exact Eq.-3 re-derivation to 1e-9.
 """
 
 from __future__ import annotations
@@ -50,11 +55,12 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..assign import Assignment
-from ..errors import ExchangeError
+from ..errors import ExchangeError, PowerModelError
 from ..exchange.cost import CostWeights
 from ..exchange.moves import MAX_ATTEMPTS
 from ..package import NetType
-from ..power import compact_ir_cost, supply_pad_fractions
+from ..power import demand_weights
+from ..power.compact import ZERO_BASELINE
 from .state import SideArrays, build_side_arrays, int_array, row_run_counts
 
 
@@ -65,6 +71,10 @@ class ArrayExchangeKernel:
     ``{side: Assignment}``; the kernel starts *at* the baseline.  Feed
     ``propose`` / ``apply`` / ``undo`` / ``cost`` / ``snapshot`` straight
     into ``SimulatedAnnealer.optimize``.
+
+    ``demand`` maps a perimeter fraction to the relative current demand
+    behind it (see :func:`repro.power.weighted_compact_cost`); ``None`` is
+    the paper's uniform gap-spread proxy.
     """
 
     def __init__(
@@ -73,35 +83,29 @@ class ArrayExchangeKernel:
         baseline_assignments: Dict,
         weights: Optional[CostWeights] = None,
         net_type: Optional[NetType] = NetType.POWER,
-        ir_proxy=None,
+        demand=None,
         track_all_rows: bool = True,
         split_networks: bool = False,
         power_only: Optional[bool] = None,
     ) -> None:
-        if ir_proxy is not None:
-            raise ExchangeError(
-                "the array kernel implements the paper's compact gap-spread "
-                "proxy only; FingerPadExchanger runs a custom ir_proxy on "
-                "the object loop"
-            )
         self.design = design
         self.weights = weights or CostWeights()
         self.net_type = net_type
+        self.demand = demand
         self.split_networks = split_networks
         self.psi = design.stacking.tier_count
         power_only = (self.psi == 1) if power_only is None else power_only
         self.power_only = power_only
-
-        # -- normalizers: the exact model's own code paths, so the kernel
-        # and the reference divide by bit-identical constants.
-        networks = (NetType.POWER, NetType.GROUND) if split_networks else (net_type,)
-        raw = sum(
-            compact_ir_cost(
-                supply_pad_fractions(design, baseline_assignments, net_type=nt)
-            )
-            for nt in networks
-        )
-        self._ir_initial = max(raw, 1e-12)
+        self._ring = ring = design.ring_slot_count()
+        #: gap weight by half-slot midpoint ``m`` of ``m / (2N)``
+        self.ir_weights = demand_weights(demand, ring)
+        # A gap of ``gap`` slots right of position ``left`` has its midpoint
+        # at index ``2 left - 1 + gap`` < 3N; the table repeats its first N
+        # entries past 2N, so the index needs no modulo.  The IR state stays
+        # in int64 for the O(n) passes: weights <= 2**20 and gap**2 <= N**2
+        # (~1e10 at 100k fingers) keep every sum below 2**63.
+        self._gap_weight = self.ir_weights + self.ir_weights[:ring]
+        self._gap_weight_array = int_array(self._gap_weight)
 
         # -- flat state, one block per side in design ring order
         self.sides: List[SideArrays] = []
@@ -126,8 +130,6 @@ class ArrayExchangeKernel:
             if bad:
                 raise ExchangeError(f"tier {min(bad)} outside 1..{self.psi}")
         self._total_runs = run_base
-        self._ring = design.ring_slot_count()
-        self._ring_sq = float(self._ring) * float(self._ring)
         self._class_count = 2 if split_networks else 1
 
         # candidate pool for propose(), mirroring MoveGenerator exactly:
@@ -142,6 +144,10 @@ class ArrayExchangeKernel:
         #: telemetry event): total ``_swap`` calls.
         self.swap_count = 0
         self._rebuild()
+        # the baseline's weighted gap sum normalizes the IR term to 1.0
+        self._ir_initial = sum(self._sumsq)
+        if not self._ir_initial:
+            raise PowerModelError(ZERO_BASELINE)
         if self.psi > 1:
             self._omega_initial = max(self._omega_total, 1)
 
@@ -157,8 +163,10 @@ class ArrayExchangeKernel:
 
     def _rebuild_ir(self, net_slots: List[np.ndarray]) -> None:
         ring = self._ring
-        # per network class: pad count, integer sum of squared gaps, and a
-        # doubly-linked circular list over occupied global ring positions
+        weight = self._gap_weight_array
+        # per network class: pad count, integer weighted sum of squared
+        # gaps, and a doubly-linked circular list over occupied global ring
+        # positions
         self._pad_count = [0] * self._class_count
         self._sumsq = [0] * self._class_count
         self._nxt, self._prv = [], []
@@ -176,12 +184,17 @@ class ArrayExchangeKernel:
             count = len(positions)
             self._pad_count[cls] = count
             if count == 0:
-                raise ExchangeError(
-                    "design has no supply pads of the requested type"
+                # the same error supply_pad_fractions gives ExchangeCost
+                raise PowerModelError(
+                    "design has no supply pads of the requested type; "
+                    "mark some nets as POWER/GROUND"
                 )
             gaps = np.diff(positions)
-            wrap = ring - int(positions[-1]) + int(positions[0])  # ring if count 1
-            self._sumsq[cls] = int(np.sum(gaps * gaps)) + wrap * wrap
+            last = int(positions[-1])
+            wrap = ring - last + int(positions[0])  # ring if count 1
+            self._sumsq[cls] = int(
+                np.sum(gaps * gaps * weight[2 * positions[:-1] - 1 + gaps])
+            ) + wrap * wrap * self._gap_weight[2 * last - 1 + wrap]
             # unoccupied positions keep 0 links, which nothing reads
             nxt = [0] * (ring + 1)
             prv = [0] * (ring + 1)
@@ -256,8 +269,7 @@ class ArrayExchangeKernel:
 
     def cost(self) -> float:
         """Current Eq.-3 total, recomposed from the integer state in O(1)."""
-        raw = sum(self._sumsq)
-        total = self.weights.ir * (raw / self._ring_sq / self._ir_initial)
+        total = self.weights.ir * (sum(self._sumsq) / self._ir_initial)
         total += self.weights.density * float(self._max_delta)
         if self.psi > 1:
             total += self.weights.bonding * (self._omega_total / self._omega_initial)
@@ -266,9 +278,8 @@ class ArrayExchangeKernel:
     def breakdown(self) -> Dict[str, float]:
         """Per-term Eq.-3 values, keyed like ``ExchangeCost.breakdown``."""
         weights = self.weights
-        raw = sum(self._sumsq)
         result = {
-            "ir": raw / self._ring_sq / self._ir_initial,
+            "ir": sum(self._sumsq) / self._ir_initial,
             "density": float(self._max_delta),
         }
         total = weights.ir * result["ir"]
@@ -369,17 +380,32 @@ class ArrayExchangeKernel:
     def _move_pad(self, cls: int, position: int, new_position: int) -> None:
         nxt = self._nxt[cls]
         prv = self._prv[cls]
+        weight = self._gap_weight
+        ring = self._ring
         if self._pad_count[cls] == 1:
+            # the lone gap spans the ring; its midpoint moves a whole slot
+            self._sumsq[cls] += ring * ring * (
+                weight[2 * new_position - 1 + ring] - weight[2 * position - 1 + ring]
+            )
             nxt[new_position] = prv[new_position] = new_position
             return
         left = prv[position]
         right = nxt[position]
-        ring = self._ring
         old_l = (position - left) % ring
         old_r = (right - position) % ring
-        new_l = (new_position - left) % ring
-        new_r = (right - new_position) % ring
-        self._sumsq[cls] += new_l * new_l + new_r * new_r - old_l * old_l - old_r * old_r
+        # the pad steps into a slot of another class, so both new gaps
+        # stay >= 1, and both gap midpoints move half a slot with it
+        step = new_position - position
+        new_l = old_l + step
+        new_r = old_r - step
+        mid_l = 2 * left - 1 + old_l
+        mid_r = 2 * position - 1 + old_r
+        self._sumsq[cls] += (
+            new_l * new_l * weight[mid_l + step]
+            + new_r * new_r * weight[mid_r + step]
+            - old_l * old_l * weight[mid_l]
+            - old_r * old_r * weight[mid_r]
+        )
         nxt[left] = new_position
         prv[right] = new_position
         nxt[new_position] = right
@@ -457,7 +483,7 @@ class ArrayExchangeKernel:
         psi > 1) the screen does not price.
         """
         los, sumsq, density = self._screen_deltas(q, start)
-        delta = self.weights.ir * (sumsq / self._ring_sq / self._ir_initial)
+        delta = self.weights.ir * (sumsq / self._ir_initial)
         delta += self.weights.density * density
         flagged = (delta < 1e-9) & ((sumsq != 0) | (density != 0))
         if self.psi > 1:
@@ -468,11 +494,13 @@ class ArrayExchangeKernel:
         """``(los, sumsq, density)``: the legal swaps ``lo >= start`` of side
         *q* and the exact change each makes to the IR gap sumsq and ``_max_delta``.
 
-        A pad with ring gaps ``gl``/``gr`` moving right changes the sumsq by
-        ``2 gl - 2 gr + 2``.  The gaps of the screened pads are the distances
-        between consecutive ones, so only the outermost two read the ring
-        links.  A swap moves one wire between two runs, so the new peak is
-        ``max(others, v_up + 1, v_down - 1)``.
+        A pad with ring gaps ``gl``/``gr`` moving one slot turns them into
+        ``gl ± 1``/``gr ∓ 1`` and moves both gap midpoints half a slot, so
+        its sumsq change is four weight-table gathers (``2 gl - 2 gr + 2``
+        rightward under uniform weights).  The gaps of the screened pads are
+        the distances between consecutive ones, so only the outermost two
+        read the ring links.  A swap moves one wire between two runs, so the
+        new peak is ``max(others, v_up + 1, v_down - 1)``.
         """
         arrays = self.sides[q]
         stop = arrays.slot_count
@@ -486,19 +514,42 @@ class ArrayExchangeKernel:
         supply = arrays.supply_class_array[nets]
         positions = arrays.ring_offset + np.arange(start, stop + 1)
         ring = self._ring
+        weight = self._gap_weight_array
         for cls in range(self._class_count):
-            if self._pad_count[cls] == 1:
-                continue
             here = supply == cls
             pads = positions[here]
             if not len(pads):
                 continue
-            before = np.append(self._prv[cls][pads[0]], pads[:-1])
-            after = np.append(pads[1:], self._nxt[cls][pads[-1]])
-            rightward = np.zeros(len(nets), dtype=np.int64)
-            rightward[here] = 2 * ((pads - before) % ring - (after - pads) % ring) + 2
-            sumsq += np.where(here[:-1] & ~here[1:], rightward[:-1], 0)
-            sumsq += np.where(here[1:] & ~here[:-1], 4 - rightward[1:], 0)
+            to_right = np.zeros(len(nets), dtype=np.int64)
+            to_left = np.zeros(len(nets), dtype=np.int64)
+            if self._pad_count[cls] == 1:
+                # the lone gap spans the ring; its midpoint moves a whole slot
+                mid = 2 * int(pads[0]) - 1 + ring
+                lone = ring * ring
+                index = int(np.flatnonzero(here)[0])
+                if index + 1 < len(nets):
+                    to_right[index] = lone * (weight[mid + 2] - weight[mid])
+                to_left[index] = lone * (weight[mid - 2] - weight[mid])
+            else:
+                before = np.append(self._prv[cls][pads[0]], pads[:-1])
+                after = np.append(pads[1:], self._nxt[cls][pads[-1]])
+                gl = (pads - before) % ring
+                gr = (after - pads) % ring
+                mid_l = 2 * before - 1 + gl
+                mid_r = 2 * pads - 1 + gr
+                stay = gl * gl * weight[mid_l] + gr * gr * weight[mid_r]
+                to_right[here] = (
+                    (gl + 1) ** 2 * weight[mid_l + 1]
+                    + (gr - 1) ** 2 * weight[mid_r + 1]
+                    - stay
+                )
+                to_left[here] = (
+                    (gl - 1) ** 2 * weight[mid_l - 1]
+                    + (gr + 1) ** 2 * weight[mid_r - 1]
+                    - stay
+                )
+            sumsq += np.where(here[:-1] & ~here[1:], to_right[:-1], 0)
+            sumsq += np.where(here[1:] & ~here[:-1], to_left[1:], 0)
 
         # the wire of the lower-row net passes the via of the higher one
         leftward = row_l > row_r
@@ -558,4 +609,5 @@ class ArrayExchangeKernel:
             weights=self.weights,
             net_type=self.net_type,
             split_networks=self.split_networks,
+            demand=self.demand,
         )

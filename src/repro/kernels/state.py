@@ -117,7 +117,7 @@ def build_side_arrays(
     quadrant = design.quadrants[side]
     tables = quadrant_tables(quadrant)
     count = quadrant.net_count
-    # IR network class, mirroring CachedExchangeCost's fraction collection:
+    # IR network class, mirroring ExchangeCost's fraction collection:
     # with split_networks POWER is class 0 and GROUND class 1; otherwise the
     # requested network (every supply net for net_type=None) is class 0.
     types = (NetType.POWER, NetType.GROUND) if split_networks else (net_type,)

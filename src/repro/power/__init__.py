@@ -2,6 +2,7 @@
 
 from .compact import (
     compact_ir_cost,
+    demand_weights,
     normalized_compact_cost,
     pad_gaps,
     weighted_compact_cost,
@@ -29,6 +30,7 @@ __all__ = [
     "IRDropResult",
     "PowerGridConfig",
     "compact_ir_cost",
+    "demand_weights",
     "normalized_compact_cost",
     "pad_gaps",
     "pad_nodes_for_grid",

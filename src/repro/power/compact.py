@@ -22,9 +22,18 @@ the full finite-difference solve.
 
 from __future__ import annotations
 
+import math
 from typing import List, Sequence
 
-from ..errors import PowerModelError
+from ..errors import NonFiniteCostError, PowerModelError
+
+#: Fractional bits of a :func:`demand_weights` entry: the max-normalized
+#: demand is rounded to a multiple of ``2**-WEIGHT_BITS``.
+WEIGHT_BITS = 20
+
+#: Error text for a demand that weighs every supply gap of the baseline
+#: zero: the weighted proxy then has nothing to normalize against.
+ZERO_BASELINE = "demand is zero at every supply-pad gap of the baseline"
 
 
 def pad_gaps(fractions: Sequence[float]) -> List[float]:
@@ -76,6 +85,38 @@ def weighted_compact_cost(fractions: Sequence[float], demand) -> float:
     wrap_mid = (ordered[-1] + wrap_gap / 2.0) % 1.0
     total += wrap_gap * wrap_gap * demand(wrap_mid)
     return total
+
+
+def demand_weights(demand, ring_slots: int) -> List[int]:
+    """Integer gap weights of *demand* on a ring of *ring_slots* positions.
+
+    Ring position ``g`` (1-based) sits at perimeter fraction
+    ``(g - 0.5) / N``, so the midpoint of any gap between two positions
+    lies on a half-slot ``m / (2N)``.  Entry ``m`` of the result is the
+    demand there divided by the table's maximum and rounded to
+    :data:`WEIGHT_BITS` fractional bits, as an ``int`` (the peak reads
+    ``2**WEIGHT_BITS``).  The exchange kernel and
+    :class:`~repro.exchange.ExchangeCost` both weigh each gap by this one
+    table.  With no demand every weight is 1 (the uniform proxy).
+    """
+    count = 2 * ring_slots
+    if demand is None:
+        return [1] * count
+    values = [float(demand(m / count)) for m in range(count)]
+    for m, value in enumerate(values):
+        if not math.isfinite(value):
+            raise NonFiniteCostError(
+                f"demand is non-finite ({value!r}) at ring fraction {m / count:.6g}"
+            )
+        if value < 0:
+            raise PowerModelError(
+                f"demand is negative ({value!r}) at ring fraction {m / count:.6g}"
+            )
+    peak = max(values)
+    if peak <= 0:
+        raise PowerModelError("demand is zero along the whole ring")
+    scale = 1 << WEIGHT_BITS
+    return [round(value / peak * scale) for value in values]
 
 
 def normalized_compact_cost(fractions: Sequence[float]) -> float:

@@ -2,7 +2,7 @@
 
 Driven by a single seed, the harness injects one representative of every
 fault class the runtime can meet in production — a malformed circuit, a
-NaN annealer cost, a corrupted cache entry, a dying worker process, a hung
+NaN IR demand, a corrupted cache entry, a dying worker process, a hung
 job — and runs them through the real :class:`~repro.runtime.JobEngine`.
 The contract under test: every fault either surfaces as a typed
 :class:`~repro.errors.ReproError` (classified by the taxonomy) or degrades
@@ -75,7 +75,7 @@ def _chaos_malformed(params: dict, seed: Optional[int]):
 
 @register_job_type("chaos_nan_cost")
 def _chaos_nan_cost(params: dict, seed: Optional[int]):
-    """Run a tiny exchange whose IR proxy returns NaN mid-anneal."""
+    """Run a tiny exchange whose IR demand turns NaN after a few reads."""
     from ..assign import DFAAssigner
     from ..circuits import build_design, table1_circuit
     from ..exchange import FingerPadExchanger, SAParams
@@ -83,25 +83,23 @@ def _chaos_nan_cost(params: dict, seed: Optional[int]):
     poison_after = int(params.get("poison_after", 3))
     calls = {"n": 0}
 
-    def poisoned_ir_proxy(fractions):
-        from ..power import compact_ir_cost
-
+    def poisoned_demand(fraction):
         calls["n"] += 1
         if calls["n"] > poison_after:
             return float("nan")
-        return compact_ir_cost(fractions)
+        return 1.0
 
     design = build_design(table1_circuit(1), seed=0)
     exchanger = FingerPadExchanger(
         design,
         params=SAParams(initial_temp=0.03, final_temp=0.01, cooling=0.5,
                         moves_per_temp=10),
-        ir_proxy=poisoned_ir_proxy,
+        demand=poisoned_demand,
         polish_passes=0,
     )
     result = exchanger.run(assign_design(DFAAssigner(), design, seed=seed), seed=seed)
-    # Unreachable when the guard works: the poisoned proxy must trip
-    # NonFiniteCostError long before the anneal completes.
+    # Unreachable when the guard works: the poisoned demand must trip
+    # NonFiniteCostError when the kernel builds its weight table.
     return {"best_cost": result.stats.best_cost}
 
 

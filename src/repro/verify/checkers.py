@@ -121,8 +121,8 @@ def check_assignments(
     Shallow checks (always): completeness over the design's sides, a
     bijective net↔slot mapping, and monotonic legality re-derived from the
     bump rows (Kubo–Takahashi rule).  Deep checks (``deep=True``) also run
-    the *real* monotonic router on every quadrant and re-derive the
-    incremental exchange cost from scratch against the exact Eq.-3 model.
+    the *real* monotonic router on every quadrant and hold the exchange
+    kernel's incremental cost to the exact from-scratch Eq.-3 model.
 
     Codes: ``assign.missing-side``, ``assign.extra-side``,
     ``assign.not-bijective``, ``assign.monotonic``, ``assign.router``,
@@ -217,8 +217,9 @@ def _check_fastcost(
     baseline: Optional[Mapping],
     report: VerificationReport,
 ) -> None:
-    """Re-derive the incremental Eq.-3 cost from scratch within tolerance."""
-    from ..exchange import CachedExchangeCost, ExchangeCost
+    """The kernel's incremental Eq.-3 cost against the from-scratch model."""
+    from ..exchange import ExchangeCost
+    from ..kernels import ArrayExchangeKernel
     from ..package import NetType
 
     if not any(
@@ -236,8 +237,12 @@ def _check_fastcost(
     base = baseline if baseline is not None else assignments
     try:
         exact = ExchangeCost(design, base).total(assignments)
-        cached_cost = CachedExchangeCost(design, base)
-        incremental = cached_cost.total(assignments)
+        kernel = ArrayExchangeKernel(design, base)
+        kernel.restore([
+            arrays.tables.indices(assignments[arrays.side].order).tolist()
+            for arrays in kernel.sides
+        ])
+        incremental = kernel.cost()
     except ReproError as exc:
         report.error(
             "assign.fastcost-drift",
@@ -271,6 +276,7 @@ def check_exchange_total(
     net_type="POWER",
     split_networks: bool = False,
     track_all_rows: bool = True,
+    demand=None,
     report: Optional[VerificationReport] = None,
 ) -> VerificationReport:
     """Cross-check a *claimed* Eq.-3 total against the exact scratch model.
@@ -282,7 +288,8 @@ def check_exchange_total(
     ``FASTCOST_RTOL``.
 
     ``net_type`` accepts the enum or its name so engine jobs can pass
-    cached JSON params straight through.
+    cached JSON params straight through; ``demand`` must be the one the
+    kernel weighed its IR term with.
 
     Codes: ``exchange.total-drift``, ``exchange.total-error``.
     """
@@ -300,6 +307,7 @@ def check_exchange_total(
             baseline,
             weights=weights,
             net_type=net_type,
+            demand=demand,
             track_all_rows=track_all_rows,
             split_networks=split_networks,
         ).total(assignments)

@@ -196,3 +196,21 @@ class TestSnapshotSemantics:
         __, propose, apply, undo, cost = make_walker()
         stats = SimulatedAnnealer(params).optimize(propose, apply, undo, cost, seed=0)
         assert stats.best_snapshot is None
+
+
+class TestParamValidation:
+    @pytest.mark.parametrize("moves", [2.5, 3.0, True, "3"])
+    def test_non_int_moves_per_temp_rejected(self, moves):
+        with pytest.raises(ValueError, match="moves_per_temp must be an int"):
+            SAParams(moves_per_temp=moves)
+
+    def test_json_job_params_rejected_before_the_anneal(self):
+        """A JSON job's float move count fails at schedule construction,
+        not as a TypeError inside the annealing loop."""
+        import json
+
+        from repro.runtime.jobs import _sa_params
+
+        with pytest.raises(ValueError, match="moves_per_temp must be an int"):
+            _sa_params(json.loads('{"cooling": 0.5, "moves_per_temp": 2.5}'))
+        assert _sa_params(json.loads('{"moves_per_temp": 3}')).moves_per_temp == 3

@@ -66,9 +66,10 @@ def test_golden_designs_load_clean():
         assert check_design(design).is_clean
 
 
-@pytest.mark.parametrize("command", ["table2", "table3"])
+@pytest.mark.parametrize("command", ["table2", "table3", "fig6"])
 def test_cli_table_stdout(command, capsys):
-    """``repro table2``/``table3`` at their defaults print the frozen tables."""
+    """``repro table2``/``table3``/``fig6`` at their defaults print the
+    frozen tables."""
     from repro.cli import main
 
     assert main([command]) == 0

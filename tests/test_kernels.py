@@ -6,7 +6,7 @@ reference and land on the identical final assignment, while its
 incrementally maintained Eq.-3 total stays within 1e-9 of the exact
 from-scratch model at every probe point.  These tests enforce that
 contract on every Table-2/Table-3 circuit and on hypothesis-generated
-designs.
+designs, and with a demand-weighted IR proxy on the Fig.-6 chip.
 """
 
 from repro.assign import assign_design
@@ -19,9 +19,8 @@ from hypothesis import strategies as st
 
 from repro.assign import DFAAssigner, RandomAssigner
 from repro.circuits import CircuitSpec, build_design, table1_circuit
-from repro.errors import ExchangeError
+from repro.errors import ExchangeError, NonFiniteCostError, PowerModelError
 from repro.exchange import (
-    CachedExchangeCost,
     CostWeights,
     ExchangeCost,
     FingerPadExchanger,
@@ -47,21 +46,24 @@ def circuit_design(index, tiers):
     return build_design(table1_circuit(index, tier_count=tiers), seed=0)
 
 
+def ramp_demand(fraction):
+    """A non-uniform demand: seven ramps around the ring, never zero."""
+    return 0.2 + (fraction * 7 % 1.0) ** 2
+
+
 def run_object_backend(design, baseline, params, seed, weights=None):
-    """Anneal through MoveGenerator + CachedExchangeCost, recording the trace."""
+    """Anneal through MoveGenerator + ExchangeCost, recording the trace."""
     working = {side: a.copy() for side, a in baseline.items()}
-    cost = CachedExchangeCost(design, baseline, weights=weights)
+    cost = ExchangeCost(design, baseline, weights=weights)
     moves = MoveGenerator(design, working)
     trace = []
 
     def apply(move):
         moves.apply(move)
-        cost.mark_dirty(move.side)
         trace.append((move.side, move.slot_a, True))
 
     def undo(move):
         moves.undo(move)
-        cost.mark_dirty(move.side)
         trace[-1] = (move.side, move.slot_a, False)
 
     stats = SimulatedAnnealer(params).optimize(
@@ -189,11 +191,13 @@ class TestDeltaExactness:
     """Kernel totals against the exact Eq.-3 model along random walks."""
 
     @pytest.mark.parametrize("split", [False, True])
-    def test_random_walk_within_1e9(self, split):
+    def test_random_walk_within_1e9(self, split, demand=None):
         design = circuit_design(3, 4)
         baseline = assign_design(RandomAssigner(), design, seed=3)
-        kernel = ArrayExchangeKernel(design, baseline, split_networks=split)
-        exact = ExchangeCost(design, baseline, split_networks=split)
+        kernel = ArrayExchangeKernel(
+            design, baseline, split_networks=split, demand=demand
+        )
+        exact = ExchangeCost(design, baseline, split_networks=split, demand=demand)
         current = {side: a.copy() for side, a in baseline.items()}
         sides = list(design.sides)
         rng = random.Random(11)
@@ -242,16 +246,35 @@ class TestDeltaExactness:
         kernel.restore(snapshot)
         assert kernel.cost() == cost_at_snapshot
 
-    def test_self_check_against_verifier(self):
+    @pytest.mark.parametrize("split", [False, True])
+    def test_demand_walk_within_1e9(self, split):
+        self.test_random_walk_within_1e9(split, demand=ramp_demand)
+
+    def test_self_check_against_verifier(self, demand=None):
         design = circuit_design(2, 1)
         baseline = assign_design(DFAAssigner(), design)
-        kernel = ArrayExchangeKernel(design, baseline)
+        kernel = ArrayExchangeKernel(design, baseline, demand=demand)
         rng = random.Random(4)
         for __ in range(120):
             move = kernel.propose(rng)
             if move is not None:
                 kernel.apply(move)
         assert kernel.self_check(baseline).ok
+
+    def test_demand_self_check_against_verifier(self):
+        self.test_self_check_against_verifier(demand=ramp_demand)
+
+    def test_self_check_needs_the_kernel_demand(self):
+        """The verifier re-derives under the demand, so a uniform
+        re-derivation of a demand kernel's total drifts."""
+        design = circuit_design(2, 1)
+        baseline = assign_design(DFAAssigner(), design)
+        kernel = ArrayExchangeKernel(design, baseline, demand=ramp_demand)
+        random_walk(kernel, 120, seed=4)
+        report = check_exchange_total(
+            design, baseline, kernel.assignments(), kernel.cost()
+        )
+        assert "exchange.total-drift" in report.codes("error")
 
     def test_check_exchange_total_flags_drift(self):
         design = circuit_design(1, 1)
@@ -403,6 +426,31 @@ class TestPolishScreen:
         # a peak run lowered by the swap: the "count at max" branch ran
         assert min(self.assert_screen_exact(kernel)) < 0
 
+    @pytest.mark.parametrize("tiers,index", [(1, 1), (4, 2), (1, 5)])
+    @pytest.mark.parametrize("split", [False, True])
+    def test_demand_deltas_match_measured_swaps(self, tiers, index, split):
+        design = circuit_design(index, tiers)
+        baseline = assign_design(DFAAssigner(), design)
+        kernel = ArrayExchangeKernel(
+            design, baseline, split_networks=split, demand=ramp_demand
+        )
+        self.assert_screen_exact(kernel)
+        random_walk(kernel, 300, seed=index)
+        self.assert_screen_exact(kernel)
+
+    def test_lone_pad_deltas_match_measured_swaps(self):
+        """One supply pad: its single gap spans the ring and its midpoint
+        moves a whole slot, the one case the demand prices apart."""
+        design = lone_pad_design()
+        baseline = assign_design(DFAAssigner(), design)
+        kernel = ArrayExchangeKernel(
+            design, baseline, net_type=None, demand=ramp_demand
+        )
+        assert kernel._pad_count == [1]
+        self.assert_screen_exact(kernel)
+        random_walk(kernel, 200, seed=2)
+        self.assert_screen_exact(kernel)
+
     @pytest.mark.parametrize("tiers,index", ALL_CONFIGS)
     def test_greedy_matches_exact_object_loop(self, tiers, index):
         design = circuit_design(index, tiers)
@@ -415,9 +463,7 @@ class TestPolishScreen:
         for baseline, weights in starts:
             exchanger = GreedyExchanger(design, weights=weights)
             kernel_result = exchanger.run(baseline)
-            object_result = exchanger._run_object(
-                baseline, 0, cost_class=ExchangeCost
-            )
+            object_result = exchanger._run_object(baseline, 0)
             assert {s: a.order for s, a in kernel_result.after.items()} == {
                 s: a.order for s, a in object_result.after.items()
             }
@@ -483,20 +529,6 @@ class TestBackendResolution:
             FingerPadExchanger(design, params=FAST_SA).run(baseline, seed=1)
         assert calls == ["tiny", "circuit1", "big"]
 
-    def test_custom_ir_proxy_stays_on_object(self, monkeypatch):
-        design = circuit_design(1, 1)
-        baseline = assign_design(DFAAssigner(), design)
-
-        def no_kernel(*args, **kwargs):
-            raise AssertionError("a custom ir_proxy must not reach the kernel")
-
-        monkeypatch.setattr(FingerPadExchanger, "_run_array", no_kernel)
-        proxy = lambda fractions: float(len(fractions))  # noqa: E731
-        result = FingerPadExchanger(
-            design, params=FAST_SA, ir_proxy=proxy
-        ).run(baseline, seed=1)
-        assert result.stats.proposed > 0
-
     def test_unknown_backend_rejected(self):
         """There is no ``backend=`` keyword left to set."""
         from repro.flow import CoDesignFlow
@@ -509,23 +541,21 @@ class TestBackendResolution:
         with pytest.raises(TypeError):
             CoDesignFlow(backend="array")
 
-    def test_exchanger_array_with_ir_proxy_raises(self, tmp_path):
-        """The kernel refuses a custom proxy, so checkpointing one does too."""
-        from repro.exchange import SACheckpointer
+    def test_demand_runs_on_the_kernel(self, monkeypatch):
+        calls = []
+        original = FingerPadExchanger._run_array
 
+        def counting(self, assignments, seed):
+            calls.append(self.demand)
+            return original(self, assignments, seed)
+
+        monkeypatch.setattr(FingerPadExchanger, "_run_array", counting)
         design = circuit_design(1, 1)
         baseline = assign_design(DFAAssigner(), design)
-        proxy = lambda fractions: 1.0  # noqa: E731
-        with pytest.raises(ExchangeError):
-            ArrayExchangeKernel(design, baseline, ir_proxy=proxy)
-        exchanger = FingerPadExchanger(
-            design,
-            params=FAST_SA,
-            ir_proxy=proxy,
-            checkpoint=SACheckpointer(tmp_path / "sa.ckpt", durable=False),
+        FingerPadExchanger(design, params=FAST_SA, demand=ramp_demand).run(
+            baseline, seed=1
         )
-        with pytest.raises(ExchangeError, match="array kernel"):
-            exchanger.run(baseline, seed=1)
+        assert calls == [ramp_demand]
 
 
 class TestPropertyParity:
@@ -598,7 +628,7 @@ class TestKernelSpeed:
         array_time = time.perf_counter() - start
 
         working = {side: a.copy() for side, a in baseline.items()}
-        cost = CachedExchangeCost(design, baseline)
+        cost = ExchangeCost(design, baseline)
         generator = MoveGenerator(design, working)
         rng = random.Random(0)
         start = time.perf_counter()
@@ -606,11 +636,178 @@ class TestKernelSpeed:
             move = generator.propose(rng)
             if move is not None:
                 generator.apply(move)
-                cost.mark_dirty(move.side)
                 cost.total(working)
         object_time = time.perf_counter() - start
 
         assert array_time < object_time
+
+
+def lone_pad_design():
+    """16 fingers with one supply pad (POWER) on the whole ring."""
+    return build_design(
+        CircuitSpec(name="lone", finger_count=16, supply_fraction=0.05), seed=0
+    )
+
+
+class TestDemand:
+    """The demand-weighted IR proxy: one weight table, kernel vs reference."""
+
+    @pytest.mark.parametrize(
+        "net_type,split",
+        [(None, False), (NetType.POWER, False), (None, True)],
+        ids=["supply", "power", "split"],
+    )
+    def test_realchip_parity_with_object_loop(self, net_type, split):
+        """Fig.-6 chip, drop-map demand: the kernel and the from-scratch
+        object loop walk the same trace to the same orders and terms."""
+        from repro.circuits import build_realchip, drop_map_demand
+        from repro.circuits.realchip import hotspot_current_map, realchip_grid_config
+        from repro.power import FDSolver
+
+        design = build_realchip(seed=2009)
+        config = realchip_grid_config(size=24)
+        solver = FDSolver(config, current_map=hotspot_current_map(config))
+        baseline = assign_design(DFAAssigner(), design)
+        demand = drop_map_demand(design, baseline, config, solver)
+        exchanger = FingerPadExchanger(
+            design,
+            weights=CostWeights(ir=1.0, density=0.05, bonding=0.0),
+            params=FAST_SA,
+            net_type=net_type,
+            split_networks=split,
+            demand=demand,
+        )
+        kernel = exchanger.run(baseline, seed=2009)
+        exact = exchanger._run_object(baseline, seed=2009)
+        assert {s: a.order for s, a in kernel.after.items()} == {
+            s: a.order for s, a in exact.after.items()
+        }
+        for field in ("proposed", "accepted", "accepted_uphill"):
+            assert getattr(kernel.stats, field) == getattr(exact.stats, field)
+        for before_after in ("cost_breakdown_before", "cost_breakdown_after"):
+            expected = getattr(exact, before_after)
+            reported = getattr(kernel, before_after)
+            assert set(reported) == set(expected)
+            for key, value in expected.items():
+                assert reported[key] == pytest.approx(value, rel=1e-9, abs=1e-9)
+
+    def test_table_is_max_normalized_20_bit(self):
+        from repro.power import demand_weights
+
+        table = demand_weights(lambda t: 1.0 + t, 4)
+        assert len(table) == 8
+        assert max(table) == 1 << 20
+        assert table[0] == round(1.0 / 1.875 * (1 << 20))
+        assert demand_weights(None, 4) == [1] * 8
+
+    @pytest.mark.parametrize(
+        "demand,error",
+        [
+            (lambda t: float("nan") if t > 0.5 else 1.0, NonFiniteCostError),
+            (lambda t: float("inf"), NonFiniteCostError),
+            (lambda t: -1.0 if t < 0.25 else 1.0, PowerModelError),
+            (lambda t: 0.0, PowerModelError),
+            # weight only at m = 0, which no baseline gap midpoint reaches
+            (lambda t: 1.0 if t < 0.003 else 0.0, PowerModelError),
+        ],
+        ids=["nan", "inf", "negative", "all-zero", "zero-at-every-gap"],
+    )
+    def test_bad_demand_raises_typed_error_at_build(self, demand, error):
+        design = circuit_design(1, 1)
+        baseline = assign_design(DFAAssigner(), design)
+        with pytest.raises(error):
+            ArrayExchangeKernel(design, baseline, demand=demand)
+        with pytest.raises(error):
+            ExchangeCost(design, baseline, demand=demand)
+
+    def test_uniform_demand_matches_no_demand(self):
+        """A constant demand weighs every gap alike: the same anneal."""
+        design = circuit_design(2, 4)
+        baseline = assign_design(DFAAssigner(), design)
+        plain = FingerPadExchanger(design, params=FAST_SA).run(baseline, seed=3)
+        flat = FingerPadExchanger(
+            design, params=FAST_SA, demand=lambda t: 2.5
+        ).run(baseline, seed=3)
+        assert plain.stats.cost_trace == flat.stats.cost_trace
+        assert {s: a.order for s, a in plain.after.items()} == {
+            s: a.order for s, a in flat.after.items()
+        }
+
+    @pytest.mark.parametrize("split", [False, True])
+    def test_incremental_state_matches_rebuild(self, split):
+        design = circuit_design(3, 4)
+        baseline = assign_design(DFAAssigner(), design)
+        walked = ArrayExchangeKernel(
+            design, baseline, split_networks=split, demand=ramp_demand
+        )
+        random_walk(walked, 2000, seed=3)
+        fresh = ArrayExchangeKernel(
+            design, baseline, split_networks=split, demand=ramp_demand
+        )
+        fresh.restore(walked.snapshot())
+        assert walked._sumsq == fresh._sumsq
+        assert walked.cost() == fresh.cost()
+
+    def test_lone_pad_walk_matches_exact(self):
+        design = lone_pad_design()
+        baseline = assign_design(RandomAssigner(), design, seed=1)
+        kernel = ArrayExchangeKernel(
+            design, baseline, net_type=None, demand=ramp_demand
+        )
+        exact = ExchangeCost(design, baseline, net_type=None, demand=ramp_demand)
+        current = {side: a.copy() for side, a in baseline.items()}
+        sides = list(design.sides)
+        rng = random.Random(5)
+        costs = set()
+        for __ in range(200):
+            move = kernel.propose(rng)
+            if move is None:
+                continue
+            kernel.apply(move)
+            current[sides[move[0]]].swap_slots(move[1], move[1] + 1)
+            assert kernel.cost() == pytest.approx(exact.total(current), rel=1e-9)
+            costs.add(kernel.breakdown()["ir"])
+        assert len(costs) > 1  # the lone pad's weight moved with it
+
+    def test_checkpointed_demand_run_resumes_bit_identically(self, tmp_path):
+        from repro.exchange import SACheckpointer
+        from repro.exchange.checkpoint import SimulatedCrash
+
+        design = circuit_design(1, 1)
+        baseline = assign_design(DFAAssigner(), design)
+
+        def exchanger(demand, checkpoint=None):
+            return FingerPadExchanger(
+                design, params=FAST_SA, demand=demand, checkpoint=checkpoint
+            )
+
+        reference = exchanger(ramp_demand).run(baseline, seed=4)
+        path = tmp_path / "sa.ckpt"
+        with pytest.raises(SimulatedCrash):
+            exchanger(
+                ramp_demand,
+                SACheckpointer(path, interval=300, durable=False,
+                               interrupt_after_saves=1),
+            ).run(baseline, seed=4)
+        assert path.exists()
+        resumed = exchanger(
+            ramp_demand, SACheckpointer(path, interval=300, durable=False)
+        ).run(baseline, seed=4)
+        assert resumed.stats.cost_trace == reference.stats.cost_trace
+        assert resumed.stats.accepted == reference.stats.accepted
+        assert resumed.stats.final_cost == reference.stats.final_cost
+        assert {s: a.order for s, a in resumed.after.items()} == {
+            s: a.order for s, a in reference.after.items()
+        }
+
+        def run_key(demand):
+            chosen = exchanger(demand)
+            kernel = ArrayExchangeKernel(design, baseline, demand=demand)
+            return chosen._checkpoint_run_key(kernel, 4)
+
+        assert run_key(ramp_demand) == run_key(ramp_demand)
+        assert run_key(ramp_demand) != run_key(lambda t: 1.0 + t)
+        assert run_key(ramp_demand) != run_key(None)
 
 
 def test_numpy_is_available():
