@@ -44,21 +44,6 @@ def test_referenced_module_imports(doc_name, module_path):
         )
 
 
-#: Deleted modules and classes no doc or docstring may still point at.
-DELETED_NAMES = ("repro.exchange.fastcost", "CachedExchangeCost")
-
-
-def test_no_reference_to_deleted_code():
-    sources = DOC_FILES + sorted((REPO_ROOT / "src" / "repro").rglob("*.py"))
-    stale = [
-        f"{path.relative_to(REPO_ROOT)}: {name}"
-        for path in sources
-        for name in DELETED_NAMES
-        if name in path.read_text()
-    ]
-    assert not stale, stale
-
-
 def test_doc_files_exist():
     for path in DOC_FILES:
         assert path.exists(), path
