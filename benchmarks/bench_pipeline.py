@@ -24,7 +24,11 @@ which runs the mid-size point only, asserts the array pipeline is >= 2x
 the object pipeline end-to-end and exits non-zero otherwise (< 30 s).
 
 Registered with the perf ledger (``repro bench run --only pipeline``):
-``ledger_metrics`` times the array path at 16,384 fingers.
+``ledger_metrics`` times the array path at 16,384 fingers and one
+``evaluate`` of the 100,352-finger DFA assignment at the two grid sizes
+of the co-design benchmark's ``assign_evaluate`` workload.  Both start
+every repeat from an empty process-wide factorization memo, so they time
+cold factorizations, not memo hits.
 """
 
 from __future__ import annotations
@@ -35,8 +39,10 @@ import time
 
 import numpy as np
 
+from repro.api import evaluate
 from repro.assign import DFAAssigner, assign_design
 from repro.circuits import CircuitSpec, build_design
+from repro.kernels.irsolve import shared_factorization
 from repro.power import FDSolver, PowerGridConfig
 from repro.power.pads import pad_nodes_for_grid
 from repro.routing import density_map, max_density_of_design
@@ -166,7 +172,28 @@ def write_record(rows) -> None:
 LEDGER_COUNT = 16384
 LEDGER_REPEATS = 3
 LEDGER_SEED = 0
-LEDGER_GATED = {f"array_ms_{LEDGER_COUNT}": "lower"}
+#: The evaluate point: fingers and the power-grid sizes it is measured at.
+EVALUATE_COUNT = 100352
+EVALUATE_GRIDS = (32, 96)
+LEDGER_GATED = {
+    f"array_ms_{LEDGER_COUNT}": "lower",
+    f"evaluate_ms_{EVALUATE_COUNT}": "lower",
+}
+
+
+def _evaluate_ms() -> float:
+    """Median ms of evaluating one assignment at ``EVALUATE_GRIDS``, cold memo."""
+    spec = CircuitSpec(name=f"pipeline{EVALUATE_COUNT}", finger_count=EVALUATE_COUNT)
+    design = build_design(spec, seed=LEDGER_SEED)
+    assignments = assign_design(DFAAssigner(), design)
+    times = []
+    for _ in range(LEDGER_REPEATS):
+        shared_factorization.cache_clear()
+        start = time.perf_counter()
+        for size in EVALUATE_GRIDS:
+            evaluate(design, assignments, grid=size)
+        times.append((time.perf_counter() - start) * 1000.0)
+    return round(float(np.median(times)), 3)
 
 
 def ledger_metrics() -> dict:
@@ -176,6 +203,7 @@ def ledger_metrics() -> dict:
     times = []
     for _ in range(LEDGER_REPEATS):
         design = build_design(spec, seed=LEDGER_SEED)
+        shared_factorization.cache_clear()
         start = time.perf_counter()
         density, drops = run_pipeline(design, config, maps, "array")
         times.append((time.perf_counter() - start) * 1000.0)
@@ -183,6 +211,7 @@ def ledger_metrics() -> dict:
         f"array_ms_{LEDGER_COUNT}": round(float(np.median(times)), 3),
         f"density_{LEDGER_COUNT}": float(density),
         f"max_drop_{LEDGER_COUNT}": max(drops),
+        f"evaluate_ms_{EVALUATE_COUNT}": _evaluate_ms(),
     }
 
 

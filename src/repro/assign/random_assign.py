@@ -28,22 +28,20 @@ class RandomAssigner(Assigner):
 
     def assign(self, quadrant: Quadrant, seed: Optional[int] = None) -> Assignment:
         rng = random.Random(seed)
-        queues = [
-            list(quadrant.row_nets(row))
-            for row in range(1, quadrant.row_count + 1)
+        # Each row reversed, so its next net pops off the end in O(1).
+        stacks = [
+            quadrant.row_nets(row)[::-1] for row in range(1, quadrant.row_count + 1)
         ]
-        remaining = [len(queue) for queue in queues]
-        total = sum(remaining)
+        total = sum(len(stack) for stack in stacks)
         order = []
         while total:
             pick = rng.randrange(total)
-            for row_index, count in enumerate(remaining):
-                if pick < count:
-                    order.append(queues[row_index].pop(0))
-                    remaining[row_index] -= 1
+            for stack in stacks:
+                if pick < len(stack):
+                    order.append(stack.pop())
                     total -= 1
                     break
-                pick -= count
+                pick -= len(stack)
         return Assignment(quadrant, order)
 
 

@@ -42,10 +42,10 @@ def measure(
     ``with_ir=False`` skips the (comparatively expensive) power-grid solve —
     Table 2 only needs density and wirelength.  Density, legality,
     wirelength and the supply-pad mapping read one cached per-quadrant
-    table (:class:`~repro.package.QuadrantTables`); the IR solve takes the
-    factor-once path.  The stages run in the ``measure.density``,
-    ``measure.wirelength``, ``measure.ir`` and (stacking ICs only)
-    ``measure.omega`` spans.
+    table (:class:`~repro.package.QuadrantTables`); the IR solve reuses the
+    process-wide factorization of the grid and pad set when there is one.
+    The stages run in the ``measure.density``, ``measure.wirelength``,
+    ``measure.ir`` and (stacking ICs only) ``measure.omega`` spans.
     """
     with span("measure.density"):
         density = max_density_of_design(assignments)
@@ -54,11 +54,9 @@ def measure(
     ir_drop = None
     if with_ir:
         with span("measure.ir"):
-            analyzer = IRDropAnalyzer(
+            ir_drop = IRDropAnalyzer(
                 design, grid_config=grid_config, net_type=net_type
-            )
-            ir_drop = analyzer.max_drop(assignments)
-            del analyzer  # free the factorization inside the span
+            ).max_drop(assignments)
     psi = design.stacking.tier_count
     omega = None
     if psi > 1:

@@ -331,9 +331,10 @@ def oracle_density_parity(case: FuzzCase) -> List[str]:
 def oracle_irsolve_parity(case: FuzzCase) -> List[str]:
     """Factor-once grid solves vs the reference assemble-and-solve path.
 
-    The same factorization is re-solved for the uniform draw and for a
-    case-seeded hotspot current map; each must match a fresh
-    ``FDSolver`` object solve within ``BACKEND_RTOL``.
+    A uniform solver, a solver with a case-seeded hotspot map and the
+    uniform one again share one factorization; each solve must match a
+    fresh object solve within ``BACKEND_RTOL``, so no solver reads another's
+    map.  Two independent analyzers on the same pads must share it too.
     """
     import numpy as np
 
@@ -352,10 +353,12 @@ def oracle_irsolve_parity(case: FuzzCase) -> List[str]:
     hotspot = np.abs(rng.normal(grid.j0, grid.j0 / 2, (grid.size, grid.size)))
 
     problems: List[str] = []
-    factorization = FDSolver(grid).factorize(nodes)
-    for label, current_map in (("uniform", None), ("hotspot", hotspot)):
-        reference = FDSolver(grid, current_map=current_map)._solve_object(nodes)
-        resolved = factorization.solve(current_map)
+    uniform, hot = FDSolver(grid), FDSolver(grid, current_map=hotspot)
+    for label, solver in (
+        ("uniform", uniform), ("hotspot", hot), ("uniform again", uniform)
+    ):
+        reference = FDSolver(grid, current_map=solver.current_map)._solve_object(nodes)
+        resolved = solver.factorize(nodes).solve()
         error = float(np.abs(resolved.voltage - reference.voltage).max())
         if not _close(resolved.max_drop, reference.max_drop) or \
                 error > BACKEND_RTOL * max(1.0, float(np.abs(reference.voltage).max())):
@@ -364,10 +367,11 @@ def oracle_irsolve_parity(case: FuzzCase) -> List[str]:
                 f"(max |dV| = {error:.3e}, drops {resolved.max_drop!r} vs "
                 f"{reference.max_drop!r})"
             )
-    # The analyzer's cached factorization must serve repeat evaluations.
-    analyzer = IRDropAnalyzer(design, grid_config=grid, net_type=None)
-    if analyzer.factorize(assignments) is not analyzer.factorize(assignments):
-        problems.append("IRDropAnalyzer.factorize does not reuse its cache")
+    if hot.factorize(nodes).shared is not uniform.factorize(nodes):
+        problems.append("the hotspot solver refactors a grid already factored")
+    analyzers = [IRDropAnalyzer(design, grid_config=grid, net_type=None) for _ in "ab"]
+    if analyzers[0].factorize(assignments) is not analyzers[1].factorize(assignments):
+        problems.append("two IRDropAnalyzers on one pad set factor it twice")
     return problems
 
 

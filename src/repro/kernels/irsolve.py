@@ -1,62 +1,55 @@
-"""Factor-once / re-solve-many FD IR-drop kernel (ROADMAP item 1, stage c).
+"""Factor-once / re-solve-many FD IR-drop kernel.
 
 The grid topology never changes between SA candidate evaluations — only the
-pad injection points and (for Fig.-6 style experiments) the current map do.
-``FDSolver.solve`` nevertheless re-assembled the sparse system with Python
-loops and re-ran a full sparse LU on every call.  This kernel splits that
-work honestly:
+pad injection points and (for Fig.-6 style experiments) the current map do,
+so the work splits in two:
 
 ``factorize_grid(config, pad_nodes)``
-    Vectorized assembly of the Dirichlet-reduced Laplacian (one pass of
-    ``np`` index arithmetic per neighbour direction instead of a Python
-    loop over ``G*G`` nodes) followed by a single factorization.  The
-    boundary (pad-at-Vdd) contribution to the right-hand side only depends
-    on the pad set, so it is precomputed here too.
+    Vectorized assembly of the Dirichlet-reduced Laplacian (``np`` index
+    arithmetic per neighbour direction) and one ``scipy.sparse.linalg.splu``
+    factorization; the boundary (pad-at-Vdd) right-hand side is precomputed
+    too.  One process-wide memo (:func:`shared_factorization`) holds it per
+    grid and distinct pad set.
 
 ``GridFactorization.solve(current_map=None)``
-    A cheap pair of triangular backsolves per injection vector — the
-    re-solve-many half.  Values match a fresh ``FDSolver`` solve within
-    1e-9 (``irsolve_parity`` oracle, hypothesis property in
-    ``tests/test_power_grid.py``).
-
-The factorization is ``scipy.sparse.linalg.splu``.
+    A pair of triangular backsolves per injection vector.  Values match the
+    ``FDSolver._solve_object`` reference within 1e-9 (``irsolve_parity``
+    oracle, a Hypothesis property in ``tests/test_staged.py``).
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu
 
+from ..power.fdsolver import IRDropResult
 from ..power.grid import PowerGridConfig
 
-__all__ = ["GridFactorization", "factorize_grid"]
+__all__ = ["GridFactorization", "factorize_grid", "shared_factorization"]
+
+#: Entries of the process-wide memo: the assign/evaluate sweep needs two (G=32
+#: and G=96); the bound caps what a long-lived process such as the daemon holds.
+FACTORIZATIONS_KEPT = 4
 
 
 class GridFactorization:
     """Prefactorized Dirichlet-reduced power grid for one pad set.
 
     Reusable across every injection vector: :meth:`solve` performs only the
-    right-hand-side build and the triangular backsolves.
+    right-hand-side build and the triangular backsolves.  It holds no
+    current map, so solvers with different maps can share it.
     """
 
-    def __init__(
-        self, config: PowerGridConfig, pad_nodes: Iterable[Tuple[int, int]]
-    ) -> None:
-        from ..power.fdsolver import IRDropResult  # circular at module scope
-
-        self._result_type = IRDropResult
+    def __init__(self, config: PowerGridConfig, pad_ids: Tuple[int, ...]) -> None:
         self.config = config
-        #: Injection map used when ``solve()`` gets none; ``FDSolver.factorize``
-        #: points this at the owning solver's ``current_map``.
-        self.default_current_map: Optional[np.ndarray] = None
-        self.pad_nodes = config.checked_pads(pad_nodes)
         g = config.size
+        self.pad_nodes = [divmod(node, g) for node in pad_ids]
         pad_flat = np.zeros(g * g, dtype=bool)
-        for x, y in self.pad_nodes:
-            pad_flat[x * g + y] = True
+        pad_flat[list(pad_ids)] = True
         unknown_ids = np.flatnonzero(~pad_flat)
         self._unknown_ids = unknown_ids
         n = len(unknown_ids)
@@ -77,12 +70,7 @@ class GridFactorization:
         col_parts: List[np.ndarray] = []
         val_parts: List[np.ndarray] = []
         all_rows = np.arange(n, dtype=np.int64)
-        for dx, dy, conductance in (
-            (1, 0, gx),
-            (-1, 0, gx),
-            (0, 1, gy),
-            (0, -1, gy),
-        ):
+        for dx, dy, conductance in ((1, 0, gx), (-1, 0, gx), (0, 1, gy), (0, -1, gy)):
             nx, ny = ux + dx, uy + dy
             inside = (0 <= nx) & (nx < g) & (0 <= ny) & (ny < g)
             neighbour = nx[inside] * g + ny[inside]
@@ -121,22 +109,28 @@ class GridFactorization:
         return rhs + self._dirichlet
 
     def solve(self, current_map: Optional[np.ndarray] = None):
-        """Re-solve for one injection vector — backsolves only, no refactor."""
-        if current_map is None:
-            current_map = self.default_current_map
+        """Re-solve for one injection vector (uniform ``j0`` when None)."""
         config = self.config
         g = config.size
         voltage = np.full((g, g), config.vdd, dtype=float)
         if self.unknown_count:
             solution = self._lu.solve(self._rhs(current_map))
             voltage.reshape(-1)[self._unknown_ids] = solution
-        return self._result_type(
-            config=config, voltage=voltage, pad_nodes=self.pad_nodes
+        return IRDropResult(
+            config=config, voltage=voltage, pad_nodes=list(self.pad_nodes)
         )
 
 
-def factorize_grid(
-    config: PowerGridConfig, pad_nodes: Iterable[Tuple[int, int]]
-) -> GridFactorization:
-    """Assemble + factor the grid once for *pad_nodes*; re-solve cheaply."""
-    return GridFactorization(config, pad_nodes)
+def factorize_grid(config: PowerGridConfig, pad_nodes: Iterable) -> GridFactorization:
+    """The shared factorization of *config* with pads at *pad_nodes*."""
+    return shared_factorization(config, config.checked_pad_ids(pad_nodes))
+
+
+@lru_cache(maxsize=FACTORIZATIONS_KEPT)
+def shared_factorization(config, pad_ids: Tuple[int, ...]) -> GridFactorization:
+    """Process-wide memo of factorizations, keyed by grid and checked pad ids.
+
+    An invalid pad set raises in ``checked_pad_ids`` and is never cached;
+    ``lru_cache`` is thread-safe, which the serve daemon's thread needs.
+    """
+    return GridFactorization(config, pad_ids)

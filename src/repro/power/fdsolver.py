@@ -60,36 +60,25 @@ class FDSolver:
     and the Fig.-6 experiment exercises exactly that.
     """
 
-    #: Factorizations kept per solver under ``factorize()`` (FIFO).
-    FACTOR_CACHE_SIZE = 8
-
     def __init__(self, config: PowerGridConfig, current_map=None) -> None:
         self.config = config
         if current_map is not None:
             current_map = config.checked_current_map(current_map)
         self.current_map = current_map
-        self._factorizations: dict = {}
 
     def factorize(self, pad_nodes: Iterable[Tuple[int, int]]):
         """Factor the grid once for *pad_nodes*; re-solve injections cheaply.
 
-        Returns a :class:`repro.kernels.irsolve.GridFactorization` whose
-        ``solve(current_map=None)`` defaults to this solver's current map.
-        The factorization only depends on the pad set, so it is cached
-        (FIFO, :attr:`FACTOR_CACHE_SIZE` entries) and reused across SA
-        candidate evaluations that revisit the same pads.
+        The shared :class:`~repro.kernels.irsolve.GridFactorization` of the
+        process-wide memo, or, for a solver with a current map, a view whose
+        ``solve()`` passes that map: solvers never read each other's map.
         """
-        from ..kernels.irsolve import GridFactorization
+        from ..kernels.irsolve import factorize_grid
 
-        key = tuple(sorted(set((int(x), int(y)) for x, y in pad_nodes)))
-        cached = self._factorizations.get(key)
-        if cached is None:
-            cached = GridFactorization(self.config, key)
-            cached.default_current_map = self.current_map
-            if len(self._factorizations) >= self.FACTOR_CACHE_SIZE:
-                self._factorizations.pop(next(iter(self._factorizations)))
-            self._factorizations[key] = cached
-        return cached
+        shared = factorize_grid(self.config, pad_nodes)
+        if self.current_map is None:
+            return shared
+        return _MappedFactorization(shared, self.current_map)
 
     def _solve_object(self, pad_nodes: Iterable[Tuple[int, int]]) -> IRDropResult:
         """Reference object-path solve (Python-loop assembly + spsolve).
@@ -99,7 +88,7 @@ class FDSolver:
         """
         config = self.config
         g = config.size
-        pads = config.checked_pads(pad_nodes)
+        pads = [divmod(node, g) for node in config.checked_pad_ids(pad_nodes)]
         pad_set = set(pads)
         unknown_index = {}
         for x in range(g):
@@ -157,4 +146,15 @@ class FDSolver:
 
     def solve_fractions(self, fractions: Sequence[float]) -> IRDropResult:
         """Solve with pads given as perimeter fractions in ``[0, 1)``."""
-        return self.factorize(self.config.ring_nodes(fractions)).solve()
+        return self.factorize(self.config.ring_node_array(fractions)).solve()
+
+
+@dataclass(frozen=True)
+class _MappedFactorization:
+    """A shared factorization solved under one solver's current map."""
+
+    shared: object
+    current_map: np.ndarray
+
+    def solve(self, current_map=None) -> IRDropResult:
+        return self.shared.solve(self.current_map if current_map is None else current_map)

@@ -33,20 +33,11 @@ def area_pad_nodes(
         raise PowerModelError("need at least one pad per side")
     if not (0.0 <= margin < 0.5):
         raise PowerModelError("margin must be in [0, 0.5)")
-    g = config.size
+    g, k = config.size, pads_per_side
     span = 1.0 - 2.0 * margin
-    nodes = []
-    for i in range(pads_per_side):
-        for j in range(pads_per_side):
-            if pads_per_side == 1:
-                fx = fy = 0.5
-            else:
-                fx = margin + span * i / (pads_per_side - 1)
-                fy = margin + span * j / (pads_per_side - 1)
-            nodes.append(
-                (min(int(fx * g), g - 1), min(int(fy * g), g - 1))
-            )
-    return sorted(set(nodes))
+    spots = [0.5] if k == 1 else [margin + span * i / (k - 1) for i in range(k)]
+    coords = [min(int(spot * g), g - 1) for spot in spots]
+    return sorted({(x, y) for x in coords for y in coords})
 
 
 @dataclass

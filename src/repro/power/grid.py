@@ -52,16 +52,19 @@ class PowerGridConfig:
         if self.j0 < 0:
             raise PowerModelError(f"current density must be >= 0, got {self.j0}")
 
-    def checked_pads(self, pad_nodes: Iterable[Tuple[int, int]]) -> List[Tuple]:
-        """Sorted distinct pad nodes; refuses an empty set or an off-grid node."""
+    def checked_pad_ids(self, pad_nodes: Iterable[Tuple[int, int]]) -> Tuple[int, ...]:
+        """Sorted distinct ids ``x * G + y`` of *pad_nodes*; none or off-grid raise."""
         g = self.size
-        pads = sorted(set((int(x), int(y)) for x, y in pad_nodes))
-        if not pads:
+        if not isinstance(pad_nodes, np.ndarray):
+            pad_nodes = list(pad_nodes)
+        nodes = np.asarray(pad_nodes, dtype=np.int64).reshape(-1, 2)
+        if not len(nodes):
             raise PowerModelError("at least one power pad node is required")
-        for x, y in pads:
-            if not (0 <= x < g and 0 <= y < g):
-                raise PowerModelError(f"pad node ({x},{y}) outside {g}x{g} grid")
-        return pads
+        outside = ((nodes < 0) | (nodes >= g)).any(axis=1)
+        if outside.any():
+            x, y = nodes[outside][0]
+            raise PowerModelError(f"pad node ({x},{y}) outside {g}x{g} grid")
+        return tuple(np.unique(nodes[:, 0] * g + nodes[:, 1]).tolist())
 
     def checked_current_map(self, current_map) -> np.ndarray:
         """*current_map* as a ``(G, G)`` float array of non-negative draws."""
@@ -91,8 +94,8 @@ class PowerGridConfig:
         ring.extend((0, y) for y in range(g - 1, 0, -1))
         return ring
 
-    def ring_nodes(self, fractions: Sequence[float]) -> List[Tuple[int, int]]:
-        """Boundary node of every perimeter fraction in ``[0, 1)``, in order."""
+    def ring_node_array(self, fractions: Sequence[float]) -> np.ndarray:
+        """``(N, 2)`` boundary node of every perimeter fraction in ``[0, 1)``."""
         fractions = np.asarray(fractions, dtype=float)
         outside = ~((0.0 <= fractions) & (fractions < 1.0 + 1e-12))
         if outside.any():
@@ -100,7 +103,11 @@ class PowerGridConfig:
             raise PowerModelError(f"ring fraction {fraction} outside [0, 1)")
         ring = _ring_array(self.size)
         index = (fractions % 1.0 * len(ring)).astype(np.int64)
-        return [tuple(node) for node in ring[np.minimum(index, len(ring) - 1)].tolist()]
+        return ring[np.minimum(index, len(ring) - 1)]
+
+    def ring_nodes(self, fractions: Sequence[float]) -> List[Tuple[int, int]]:
+        """:meth:`ring_node_array` as ``(x, y)`` tuples, in order."""
+        return [tuple(node) for node in self.ring_node_array(fractions).tolist()]
 
     def ring_node(self, fraction: float) -> Tuple[int, int]:
         """Boundary node at perimeter *fraction* in ``[0, 1)``."""

@@ -6,9 +6,8 @@ from typing import Dict, Optional
 
 from ..package import NetType, PackageDesign
 from .compact import compact_ir_cost
-from .fdsolver import FDSolver
 from .grid import PowerGridConfig
-from .pads import pad_nodes_for_grid, supply_pad_fractions
+from .pads import supply_pad_fraction_array, supply_pad_fractions
 
 
 class IRDropAnalyzer:
@@ -28,26 +27,23 @@ class IRDropAnalyzer:
         self.design = design
         self.grid_config = grid_config or PowerGridConfig()
         self.net_type = net_type
-        self._solver = FDSolver(self.grid_config)
 
     def pad_fractions(self, assignments: Dict) -> list:
         """Perimeter fractions of the analyzed supply pads."""
-        return supply_pad_fractions(
-            self.design, assignments, net_type=self.net_type
-        )
+        return supply_pad_fractions(self.design, assignments, net_type=self.net_type)
 
     def factorize(self, assignments: Dict):
         """Prefactorized grid for this assignment's supply pads.
 
         The returned :class:`~repro.kernels.irsolve.GridFactorization`
-        re-solves injection vectors without refactoring; factorizations
-        are cached on the underlying solver keyed by the pad set, so SA
-        evaluations that revisit a pad configuration pay backsolves only.
+        comes from the fixed-size process-wide memo keyed by the grid and
+        the distinct pad nodes, so a pad set already factored in this
+        process, by any analyzer or solver, costs backsolves only.
         """
-        nodes = pad_nodes_for_grid(
-            self.design, assignments, self.grid_config, net_type=self.net_type
-        )
-        return self._solver.factorize(nodes)
+        from ..kernels.irsolve import factorize_grid
+
+        fractions = supply_pad_fraction_array(self.design, assignments, self.net_type)
+        return factorize_grid(self.grid_config, self.grid_config.ring_node_array(fractions))
 
     def max_drop(self, assignments: Dict) -> float:
         """Maximum core IR-drop in volts for the given assignment."""

@@ -23,6 +23,15 @@ def supply_pad_fractions(
     assignments: Dict,
     net_type: Optional[NetType] = NetType.POWER,
 ) -> List[float]:
+    """:func:`supply_pad_fraction_array` as a list."""
+    return supply_pad_fraction_array(design, assignments, net_type).tolist()
+
+
+def supply_pad_fraction_array(
+    design: PackageDesign,
+    assignments: Dict,
+    net_type: Optional[NetType] = NetType.POWER,
+) -> np.ndarray:
     """Perimeter fractions (in ``[0, 1)``) of the supply pads.
 
     Parameters
@@ -54,7 +63,7 @@ def supply_pad_fractions(
             "design has no supply pads of the requested type; "
             "mark some nets as POWER/GROUND"
         )
-    return np.concatenate(parts).tolist()
+    return np.concatenate(parts)
 
 
 def pad_nodes_for_grid(
@@ -63,6 +72,6 @@ def pad_nodes_for_grid(
     grid_config,
     net_type: Optional[NetType] = NetType.POWER,
 ) -> List[tuple]:
-    """Grid boundary nodes of the supply pads for the FD solver."""
-    fractions = supply_pad_fractions(design, assignments, net_type=net_type)
+    """Grid boundary node of every supply pad, in pad order."""
+    fractions = supply_pad_fraction_array(design, assignments, net_type)
     return grid_config.ring_nodes(fractions)

@@ -29,6 +29,7 @@ published densities exactly (4 for the random order, 2 for IFA and DFA).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
@@ -95,14 +96,15 @@ def run_partition(
         for net in quadrant.netlist
         if quadrant.ball_row(net.id) < row
     )
+    # A run holds the passing wires between the rightmost earlier via and its own.
     runs: List[Tuple[int, int]] = []
-    remaining = passing_slots
+    spent = 0  # passing wires left of the rightmost via so far
     for via_slot in via_slots:
-        inside = [slot for slot in remaining if slot < via_slot]
-        remaining = [slot for slot in remaining if slot > via_slot]
-        runs.append((len(inside), 1))
+        left = bisect_left(passing_slots, via_slot)
+        runs.append((max(0, left - spent), 1))
+        spent = max(spent, left)
     # Rightmost run: the free via candidate splits it into two intervals.
-    runs.append((len(remaining), 2))
+    runs.append((len(passing_slots) - spent, 2))
     return runs
 
 

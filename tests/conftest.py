@@ -5,7 +5,15 @@ from __future__ import annotations
 import pytest
 
 from repro.circuits import build_design, fig5_quadrant, table1_circuit
+from repro.kernels.irsolve import shared_factorization
 from repro.package import quadrant_from_rows
+
+
+@pytest.fixture(autouse=True)
+def _no_factorization_from_an_earlier_test():
+    """Empty the process-wide factorization memo, so no test's timing or
+    cache counts depend on which tests ran before it."""
+    shared_factorization.cache_clear()
 
 
 @pytest.fixture

@@ -1,5 +1,7 @@
 """Unit tests for the assignment algorithms, including the paper's examples."""
 
+import hashlib
+import json
 import random
 from repro.assign import assign_design
 import pytest
@@ -20,12 +22,15 @@ from repro.assign import (
     swap_is_legal,
 )
 from repro.circuits import (
+    CircuitSpec,
     FIG5_DFA_ORDER,
     FIG5_RANDOM_ORDER,
     FIG10_IFA_ORDER,
     FIG12_DI_TRACE,
+    build_design,
     fig13_quadrant,
     fig5_quadrant,
+    table1_circuit,
 )
 from repro.errors import AssignmentError, LegalityError
 from repro.package import quadrant_from_rows
@@ -213,6 +218,30 @@ class TestRandomAssigner:
     def test_different_seeds_differ(self, fig5):
         orders = {tuple(RandomAssigner().assign(fig5, seed=s).order) for s in range(8)}
         assert len(orders) > 1
+
+    @pytest.mark.parametrize(
+        "spec, seed, expected",
+        [
+            (
+                table1_circuit(2),
+                3,
+                "29274856b69fce3eee08f6b9c69e96a933c5f7e009c255bc3a9de2bbf188f492",
+            ),
+            (
+                CircuitSpec(name="synth4096", finger_count=4096),
+                11,
+                "2f81ffebfeca48a109d09d4edb5c1598f2bf44c8e0e6861d345141bf051c1b34",
+            ),
+        ],
+        ids=["circuit2", "synth4096"],
+    )
+    def test_seeded_orders_are_pinned(self, spec, seed, expected):
+        """The seeded rng stream picks the same orders as it always has."""
+        design = build_design(spec, seed=0)
+        assignments = assign_design(RandomAssigner(), design, seed=seed)
+        orders = sorted((side.value, list(a.order)) for side, a in assignments.items())
+        digest = hashlib.sha256(json.dumps(orders).encode()).hexdigest()
+        assert digest == expected
 
     @given(row_sizes, st.integers(min_value=0, max_value=1000))
     @settings(max_examples=50, deadline=None)

@@ -1,10 +1,15 @@
 """Tests for the power-grid model and the finite-difference solver."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from repro.assign import DFAAssigner, assign_design
 from repro.errors import PowerModelError
-from repro.power import FDSolver, PowerGridConfig
+from repro.kernels.irsolve import FACTORIZATIONS_KEPT, shared_factorization
+from repro.power import FDSolver, IRDropAnalyzer, PowerGridConfig
 
 
 class TestPowerGridConfig:
@@ -134,3 +139,78 @@ class TestFDSolver:
         result = FDSolver(config).factorize([(0, 0), (11, 11)]).solve()
         assert result.voltage.max() <= config.vdd + 1e-12
         assert (result.drop_map >= -1e-12).all()
+
+
+class TestFactorizationMemo:
+    """One process-wide factorization per (grid, distinct pad set).
+
+    Each test starts from an empty memo (the autouse fixture in conftest).
+    """
+
+    def test_equal_pad_sets_share_one_lu(self, small_design):
+        assignments = assign_design(DFAAssigner(), small_design)
+        first = IRDropAnalyzer(small_design).factorize(assignments)
+        second = IRDropAnalyzer(small_design).factorize(assignments)
+        assert second is first
+        assert shared_factorization.cache_info().misses == 1
+
+    def test_solvers_with_different_maps_keep_their_own_drop(self):
+        config = PowerGridConfig(size=8, j0=1e-5)
+        hot = np.full((8, 8), 1e-5)
+        hot[4:, 4:] *= 10
+        pads = [(0, 0), (7, 3)]
+        hot_solver, uniform_solver = FDSolver(config, current_map=hot), FDSolver(config)
+        expected = {
+            solver: solver._solve_object(pads).max_drop
+            for solver in (hot_solver, uniform_solver)
+        }
+        assert expected[hot_solver] > expected[uniform_solver]
+        for solver in (hot_solver, uniform_solver, hot_solver, uniform_solver):
+            drop = solver.factorize(pads).solve().max_drop
+            assert drop == pytest.approx(expected[solver], rel=1e-9)
+        assert shared_factorization.cache_info().misses == 1
+
+    @pytest.mark.parametrize("pads", [[], [(9, 9)], [(0, 0), (-1, 2)]])
+    def test_invalid_pad_sets_raise_every_call_and_are_never_cached(self, pads):
+        for _ in range(2):
+            with pytest.raises(PowerModelError):
+                FDSolver(PowerGridConfig(size=4)).factorize(pads)
+        with pytest.raises(PowerModelError):
+            FDSolver(PowerGridConfig(size=4)).solve_fractions([])
+        assert shared_factorization.cache_info().currsize == 0
+
+    def test_memo_is_bounded(self):
+        config = PowerGridConfig(size=6)
+        for node in config.boundary_ring():
+            FDSolver(config).factorize([node])
+        assert shared_factorization.cache_info().currsize == FACTORIZATIONS_KEPT
+
+    def test_threads_share_the_memo_without_mixing_entries(self):
+        """More threads than cores, a short switch interval, more pad sets
+        than entries: every solve still matches its own reference."""
+        config = PowerGridConfig(size=10)
+        ring = config.boundary_ring()
+        pad_sets = [ring[k::9] for k in range(FACTORIZATIONS_KEPT + 2)]
+        expected = [FDSolver(config)._solve_object(pads).max_drop for pads in pad_sets]
+        wrong = []
+
+        def worker(offset):
+            for step in range(40):
+                index = (offset + step) % len(pad_sets)
+                drop = FDSolver(config).factorize(pad_sets[index]).solve().max_drop
+                if abs(drop - expected[index]) > 1e-9 * expected[index]:
+                    wrong.append(index)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(n,)) for n in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+        assert shared_factorization.cache_info().currsize <= FACTORIZATIONS_KEPT

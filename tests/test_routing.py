@@ -49,6 +49,31 @@ class TestDensityModel:
         # all 9 passing wires accounted for
         assert sum(wires for wires, __ in runs) == 9
 
+    @given(row_sizes, st.randoms(use_true_random=False), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_run_partition_matches_brute_force(self, sizes, rng, legal):
+        """Legal and illegal orders: runs equal a per-via re-filter."""
+        quadrant = random_quadrant(sizes)
+        if legal:
+            assignment = RandomAssigner().assign(quadrant, seed=rng.randrange(99))
+        else:
+            order = [net.id for net in quadrant.netlist]
+            rng.shuffle(order)
+            assignment = Assignment(quadrant, order)
+        for row in range(1, quadrant.row_count + 1):
+            remaining = sorted(
+                assignment.slot_of(net.id)
+                for net in quadrant.netlist
+                if quadrant.ball_row(net.id) < row
+            )
+            expected = []
+            for net in quadrant.row_nets(row):
+                via = assignment.slot_of(net)
+                expected.append((sum(slot < via for slot in remaining), 1))
+                remaining = [slot for slot in remaining if slot > via]
+            expected.append((len(remaining), 2))
+            assert run_partition(assignment, row) == expected
+
     def test_density_map_contents(self, fig5):
         dmap = density_map(Assignment(fig5, FIG5_RANDOM_ORDER))
         assert dmap.max_density == 4

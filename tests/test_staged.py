@@ -187,7 +187,6 @@ class TestIRSolveKernel:
         assert solver.factorize(self.PADS) is solver.factorize(
             list(reversed(self.PADS))
         )
-        solver.FACTOR_CACHE_SIZE  # documented knob exists
 
     def test_all_pads_grid(self):
         config = PowerGridConfig(size=2)
