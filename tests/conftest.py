@@ -9,9 +9,10 @@ from repro.kernels.irsolve import shared_factorization
 from repro.package import quadrant_from_rows
 
 
-@pytest.fixture(autouse=True)
-def _no_factorization_from_an_earlier_test():
-    """Empty the process-wide factorization memo, so no test's timing or
+@pytest.hookimpl(tryfirst=True)
+def pytest_runtest_setup(item):
+    """Empty the process-wide factorization memo before any fixture of a
+    test is set up (class-scoped ones included), so no test's timing or
     cache counts depend on which tests ran before it."""
     shared_factorization.cache_clear()
 

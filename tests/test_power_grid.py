@@ -144,7 +144,7 @@ class TestFDSolver:
 class TestFactorizationMemo:
     """One process-wide factorization per (grid, distinct pad set).
 
-    Each test starts from an empty memo (the autouse fixture in conftest).
+    Each test starts from an empty memo (``pytest_runtest_setup`` in conftest).
     """
 
     def test_equal_pad_sets_share_one_lu(self, small_design):
