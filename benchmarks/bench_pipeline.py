@@ -24,11 +24,12 @@ which runs the mid-size point only, asserts the array pipeline is >= 2x
 the object pipeline end-to-end and exits non-zero otherwise (< 30 s).
 
 Registered with the perf ledger (``repro bench run --only pipeline``):
-``ledger_metrics`` times the array path at 16,384 fingers and one
+``ledger_metrics`` times the array path at 16,384 fingers, one
 ``evaluate`` of the 100,352-finger DFA assignment at the two grid sizes
-of the co-design benchmark's ``assign_evaluate`` workload.  Both start
-every repeat from an empty process-wide factorization memo, so they time
-cold factorizations, not memo hits.
+of the co-design benchmark's ``assign_evaluate`` workload, and one
+``assign`` of that design with each of the workload's three methods.
+The first two start every repeat from an empty process-wide
+factorization memo, so they time cold factorizations, not memo hits.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import time
 
 import numpy as np
 
-from repro.api import evaluate
+from repro.api import assign, evaluate
 from repro.assign import DFAAssigner, assign_design
 from repro.circuits import CircuitSpec, build_design
 from repro.kernels.irsolve import shared_factorization
@@ -172,19 +173,31 @@ def write_record(rows) -> None:
 LEDGER_COUNT = 16384
 LEDGER_REPEATS = 3
 LEDGER_SEED = 0
-#: The evaluate point: fingers and the power-grid sizes it is measured at.
+#: The evaluate and assign points: fingers, the power-grid sizes evaluate
+#: is measured at and the methods assign runs.
 EVALUATE_COUNT = 100352
 EVALUATE_GRIDS = (32, 96)
+ASSIGN_METHODS = ("ifa", "dfa", "random")
 LEDGER_GATED = {
     f"array_ms_{LEDGER_COUNT}": "lower",
     f"evaluate_ms_{EVALUATE_COUNT}": "lower",
+    f"assign_ms_{EVALUATE_COUNT}": "lower",
 }
 
 
-def _evaluate_ms() -> float:
+def _assign_ms(design) -> float:
+    """Median ms of one ``assign`` per method in ``ASSIGN_METHODS``."""
+    times = []
+    for _ in range(LEDGER_REPEATS):
+        start = time.perf_counter()
+        for method in ASSIGN_METHODS:
+            assign(design, method, seed=LEDGER_SEED)
+        times.append((time.perf_counter() - start) * 1000.0)
+    return round(float(np.median(times)), 3)
+
+
+def _evaluate_ms(design) -> float:
     """Median ms of evaluating one assignment at ``EVALUATE_GRIDS``, cold memo."""
-    spec = CircuitSpec(name=f"pipeline{EVALUATE_COUNT}", finger_count=EVALUATE_COUNT)
-    design = build_design(spec, seed=LEDGER_SEED)
     assignments = assign_design(DFAAssigner(), design)
     times = []
     for _ in range(LEDGER_REPEATS):
@@ -207,11 +220,16 @@ def ledger_metrics() -> dict:
         start = time.perf_counter()
         density, drops = run_pipeline(design, config, maps, "array")
         times.append((time.perf_counter() - start) * 1000.0)
+    big = build_design(
+        CircuitSpec(name=f"pipeline{EVALUATE_COUNT}", finger_count=EVALUATE_COUNT),
+        seed=LEDGER_SEED,
+    )
     return {
         f"array_ms_{LEDGER_COUNT}": round(float(np.median(times)), 3),
         f"density_{LEDGER_COUNT}": float(density),
         f"max_drop_{LEDGER_COUNT}": max(drops),
-        f"evaluate_ms_{EVALUATE_COUNT}": _evaluate_ms(),
+        f"evaluate_ms_{EVALUATE_COUNT}": _evaluate_ms(big),
+        f"assign_ms_{EVALUATE_COUNT}": _assign_ms(big),
     }
 
 

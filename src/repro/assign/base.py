@@ -9,28 +9,31 @@ mutates.  Slots are 1-based, left to right, matching the paper's
 from __future__ import annotations
 
 import abc
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
+
+import numpy as np
 
 from ..errors import AssignmentError
-from ..package import Quadrant
+from ..package import Quadrant, quadrant_tables
 
 
 class Assignment:
-    """A bijection between a quadrant's nets and its finger slots."""
+    """A bijection between a quadrant's nets and its finger slots.
+
+    It keeps the net ids in slot order and their inverse, :attr:`net_slot`,
+    which the constructor builds in the pass that checks the order and
+    :meth:`swap_slots` keeps in step; measurements read the inverse.
+    """
 
     def __init__(self, quadrant: Quadrant, order: Sequence[int]) -> None:
         order = list(order)
-        expected = set(net.id for net in quadrant.netlist)
-        if len(order) != len(expected) or set(order) != expected:
-            raise AssignmentError(
-                "assignment order must be a permutation of the quadrant's nets: "
-                f"got {len(order)} entries for {len(expected)} nets"
-            )
         self.quadrant = quadrant
+        self._tables = quadrant_tables(quadrant)
+        self._net_slot = self._tables.net_slots(order)
+        # the scalar path: a memoryview item is a plain int, ~2x faster to
+        # read than an ndarray item, and writes go through to the array
+        self._slots = memoryview(self._net_slot)
         self._order: List[int] = order
-        self._slot_of: Dict[int, int] = {
-            net_id: slot for slot, net_id in enumerate(order, start=1)
-        }
 
     # -- queries -------------------------------------------------------------
 
@@ -40,13 +43,22 @@ class Assignment:
         return list(self._order)
 
     @property
+    def net_slot(self) -> np.ndarray:
+        """0-based slot of every net, indexed as in the quadrant's
+        :class:`~repro.package.QuadrantTables`: a read-only int64 view that
+        follows later :meth:`swap_slots` calls (copy it for a snapshot)."""
+        view = self._net_slot.view()
+        view.flags.writeable = False
+        return view
+
+    @property
     def slot_count(self) -> int:
         return len(self._order)
 
     def slot_of(self, net_id: int) -> int:
         """Finger slot (1-based) holding *net_id*."""
         try:
-            return self._slot_of[net_id]
+            return self._slots[self._tables.index_by_id[net_id]] + 1
         except KeyError:
             raise AssignmentError(f"net {net_id} not in assignment") from None
 
@@ -68,12 +80,19 @@ class Assignment:
         net_b = self.net_at(slot_b)
         self._order[slot_a - 1] = net_b
         self._order[slot_b - 1] = net_a
-        self._slot_of[net_a] = slot_b
-        self._slot_of[net_b] = slot_a
+        index_by_id = self._tables.index_by_id
+        self._slots[index_by_id[net_a]] = slot_b - 1
+        self._slots[index_by_id[net_b]] = slot_a - 1
 
     def copy(self) -> "Assignment":
         """An independent copy sharing the (immutable) quadrant."""
-        return Assignment(self.quadrant, self._order)
+        clone = Assignment.__new__(Assignment)
+        clone.quadrant = self.quadrant
+        clone._tables = self._tables
+        clone._net_slot = self._net_slot.copy()
+        clone._slots = memoryview(clone._net_slot)
+        clone._order = list(self._order)
+        return clone
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Assignment):

@@ -44,11 +44,12 @@ def is_legal(assignment: Assignment) -> bool:
 def check_legal(assignment: Assignment) -> None:
     """Raise :class:`LegalityError` when *assignment* is illegal.
 
-    Screens every bump row on the quadrant's cached arrays (slots must rise
-    along the ball order); only an illegal order pays for :func:`row_violations`.
+    Screens every bump row of the quadrant's cached arrays on the
+    assignment's ``net_slot`` (slots must rise along the ball order); only
+    an illegal order pays for :func:`row_violations`.
     """
     tables = quadrant_tables(assignment.quadrant)
-    net_slot = tables.net_slots(assignment.order)
+    net_slot = assignment.net_slot
     if all((np.diff(net_slot[nets]) > 0).all() for nets in tables.row_nets):
         return
     violations = row_violations(assignment)

@@ -27,7 +27,11 @@ Oracles
     kernels (order- and error-identical), the object density walk vs the
     array run accumulation (count-identical), and the factor-once grid
     solver vs the reference assemble-and-solve path (within 1e-9, for
-    both uniform and hotspot injection vectors).
+    both uniform and hotspot injection vectors).  ``density_parity``
+    also walks a copy of each assignment through random legal
+    ``swap_slots`` calls: its ``net_slot`` must stay the inverse of its
+    order, and its density, flyline wirelength and supply-pad fractions
+    must equal those of a fresh ``Assignment`` of the same order.
 ``backends``
     The exchange's array kernel vs the object loop on the from-scratch
     ``ExchangeCost`` under a shared seed, with the case's IR demand
@@ -299,12 +303,14 @@ def oracle_density_parity(case: FuzzCase) -> List[str]:
 
     The orders come from the object assigners themselves, quadrant by
     quadrant under the staged seeds, not from the assignment kernels.
+    Each design's assignments then go through :func:`_swapped_parity`.
     """
     from ..assign import DFAAssigner, RandomAssigner
     from ..kernels import max_density_of_order
     from ..routing import density_map
 
     design = _build_design(case)
+    rng = random.Random(case.run_seed)
     problems: List[str] = []
     for name, assigner in (
         ("Random", RandomAssigner()),
@@ -319,12 +325,62 @@ def oracle_density_parity(case: FuzzCase) -> List[str]:
             raise SkippedCase(f"{type(exc).__name__}: {exc}") from exc
         for side, assignment in assignments.items():
             expected = density_map(assignment).max_density
-            got = max_density_of_order(assignment.quadrant, assignment.order)
+            got = max_density_of_order(assignment)
             if got != expected:
                 problems.append(
                     f"{name} {side.value}: array max density {got} != "
                     f"object {expected}"
                 )
+        problems.extend(
+            f"{name} {problem}"
+            for problem in _swapped_parity(design, assignments, rng)
+        )
+    return problems
+
+
+def _swapped_parity(design, assignments: Dict, rng: random.Random) -> List[str]:
+    """Copies walked through random legal adjacent swaps vs fresh assignments.
+
+    Each copy's ``net_slot`` (and its untouched original's) must stay the
+    inverse of its order; density, wirelength and supply-pad fractions
+    must equal those of a fresh ``Assignment`` of the swapped order.
+    """
+    import numpy as np
+
+    from ..assign import Assignment, swap_is_legal
+    from ..errors import PowerModelError
+    from ..kernels import max_density_of_order
+    from ..package import NetType, quadrant_tables
+    from ..power import supply_pad_fractions
+    from ..routing import total_flyline_length_of_design as wirelength
+
+    swapped = {side: assignment.copy() for side, assignment in assignments.items()}
+    for assignment in swapped.values():
+        for __ in range(4 * assignment.slot_count if assignment.slot_count > 1 else 0):
+            slot = rng.randrange(1, assignment.slot_count)
+            if swap_is_legal(assignment, slot, slot + 1):
+                assignment.swap_slots(slot, slot + 1)
+    fresh = {side: Assignment(a.quadrant, a.order) for side, a in swapped.items()}
+    problems: List[str] = []
+    for label, group in (("original", assignments), ("swapped", swapped)):
+        for side, assignment in group.items():
+            order = np.array(assignment.order)[assignment.net_slot]
+            if not np.array_equal(order, quadrant_tables(assignment.quadrant).net_ids):
+                problems.append(f"{side.value} {label}: net_slot is not the inverse of the order")
+
+    def measured(group: Dict) -> tuple:
+        pads = []
+        for net_type in (NetType.POWER, NetType.GROUND, None):
+            try:
+                pads.append(supply_pad_fractions(design, group, net_type))
+            except PowerModelError:  # no pads of this type
+                pads.append(None)
+        return [max_density_of_order(a) for a in group.values()], wirelength(group), pads
+
+    for label, got, want in zip(("max density", "wirelength", "pad fractions"),
+                                measured(swapped), measured(fresh)):
+        if got != want:
+            problems.append(f"swapped {label} differs from a fresh Assignment's")
     return problems
 
 

@@ -16,23 +16,25 @@ run against :func:`repro.routing.density.density_map`.
 
 from __future__ import annotations
 
-from ..package import Quadrant, quadrant_tables
+from ..package import quadrant_tables
 from .state import row_run_counts
 
 __all__ = ["max_density_of_order"]
 
 
-def max_density_of_order(quadrant: Quadrant, order) -> int:
-    """Maximum run density of one quadrant order (paper Table 2's metric).
+def max_density_of_order(assignment) -> int:
+    """Maximum run density of one quadrant's order (paper Table 2's metric).
 
     Mirrors :func:`repro.routing.density.run_partition` on every line
     ``2 .. row_count``: one leftmost run, ``m - 1`` interior runs (one
     interval each) and the rightmost run with two intervals (the free via
     candidate splits it); a run's density is ``ceil(wires / intervals)``.
-    ``order`` is the assignment's net-id list, leftmost slot first.
+    Reads the :class:`~repro.assign.Assignment`'s ``net_slot``; a raw
+    net-id order converts through ``Assignment(quadrant, order)``.
     """
+    quadrant = assignment.quadrant
     tables = quadrant_tables(quadrant)
-    net_slot = tables.net_slots(order)
+    net_slot = assignment.net_slot
     peak = 0
     for row in range(2, quadrant.row_count + 1):
         counts = row_run_counts(net_slot, tables.rows, tables.row_nets[row - 1], row)

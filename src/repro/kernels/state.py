@@ -125,8 +125,9 @@ def build_side_arrays(
     for cls, net_type in enumerate(types):
         supply_class[tables.type_nets[net_type]] = cls
 
-    slot_net = tables.indices(assignment.order)
-    net_slot = np.argsort(slot_net)  # the inverse permutation
+    net_slot = assignment.net_slot
+    slot_net = np.empty(count, dtype=np.int64)  # the inverse permutation
+    slot_net[net_slot] = np.arange(count, dtype=np.int64)
 
     # ring offset: nets of earlier sides (design ring order) come first
     offset = 0

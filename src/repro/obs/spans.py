@@ -21,8 +21,13 @@ the worker, and the worker roots its local span stack there via
 trace holds one connected tree.
 
 The disabled path is near-free: :func:`span` checks ``telemetry.enabled``
-once and yields without minting ids, emitting events or touching the
-context variable (proven by ``benchmarks/bench_obs.py``).
+once and returns a shared no-op context without minting ids, emitting
+events or touching the context variable (proven by
+``benchmarks/bench_obs.py``).
+
+A span's clock runs from the :func:`span` call until its ``span.end``
+event is built, so minting the id and emitting both events count as the
+span's own time; a parent's self time holds only its own work.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from __future__ import annotations
 import itertools
 import os
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from typing import Optional
 
 from ..runtime.telemetry import _SPAN, Telemetry, get_telemetry
@@ -73,21 +78,23 @@ class SpanHandle:
 
     For code whose begin and end do not bracket a single ``with`` block —
     the engine opens a pool job's span at submission and closes it when the
-    future resolves, possibly rounds later.  Handle spans do *not* touch
-    the ambient context variable; they exist to be passed across an
-    asynchronous boundary.
+    future resolves, possibly rounds later.  Such a handle does *not* touch
+    the ambient context variable; it exists to be passed across an
+    asynchronous boundary.  Used as a ``with`` block (what :func:`span`
+    returns) it installs its id as the ambient parent and closes on exit.
     """
 
-    __slots__ = ("name", "span_id", "parent_id", "_telemetry", "_start", "_fields", "closed")
+    __slots__ = ("name", "span_id", "parent_id", "_telemetry", "_start", "_fields",
+                 "closed", "_token")
 
     def __init__(self, name: str, span_id: str, parent_id: Optional[str],
-                 telemetry: Telemetry, fields: dict) -> None:
+                 telemetry: Telemetry, fields: dict, start: float) -> None:
         self.name = name
         self.span_id = span_id
         self.parent_id = parent_id
         self._telemetry = telemetry
         self._fields = fields
-        self._start = time.perf_counter()
+        self._start = start
         self.closed = False
 
     def close(self, **fields) -> None:
@@ -96,14 +103,16 @@ class SpanHandle:
             return
         self.closed = True
         merged = dict(self._fields, **fields)
-        self._telemetry.emit(
-            "span.end",
-            name=self.name,
-            span=self.span_id,
-            parent=self.parent_id,
-            seconds=round(time.perf_counter() - self._start, 6),
-            **merged,
-        )
+        self._telemetry.emit_elapsed("span.end", self._start, name=self.name,
+                                     span=self.span_id, parent=self.parent_id, **merged)
+
+    def __enter__(self) -> str:
+        self._token = _SPAN.set(self.span_id)
+        return self.span_id
+
+    def __exit__(self, *exc_info) -> None:
+        _SPAN.reset(self._token)
+        self.close()
 
 
 def open_span(
@@ -117,6 +126,7 @@ def open_span(
     ``parent`` defaults to the ambient span.  The caller owns the handle
     and must :meth:`~SpanHandle.close` it on every path.
     """
+    start = time.perf_counter()
     t = telemetry if telemetry is not None else get_telemetry()
     if not t.enabled:
         return None
@@ -124,10 +134,12 @@ def open_span(
         parent = _SPAN.get()
     span_id = new_span_id()
     t.emit("span.begin", name=name, span=span_id, parent=parent, **fields)
-    return SpanHandle(name, span_id, parent, t, fields)
+    return SpanHandle(name, span_id, parent, t, fields, start)
 
 
-@contextmanager
+_DISABLED = nullcontext()
+
+
 def span(name: str, telemetry: Optional[Telemetry] = None, **fields):
     """Scope a span over a ``with`` block; yields the span id (or ``None``).
 
@@ -135,24 +147,4 @@ def span(name: str, telemetry: Optional[Telemetry] = None, **fields):
     parent for anything emitted inside the block.  When the telemetry is
     disabled the block runs untouched.
     """
-    t = telemetry if telemetry is not None else get_telemetry()
-    if not t.enabled:
-        yield None
-        return
-    parent = _SPAN.get()
-    span_id = new_span_id()
-    t.emit("span.begin", name=name, span=span_id, parent=parent, **fields)
-    token = _SPAN.set(span_id)
-    start = time.perf_counter()
-    try:
-        yield span_id
-    finally:
-        _SPAN.reset(token)
-        t.emit(
-            "span.end",
-            name=name,
-            span=span_id,
-            parent=parent,
-            seconds=round(time.perf_counter() - start, 6),
-            **fields,
-        )
+    return open_span(name, telemetry, **fields) or _DISABLED

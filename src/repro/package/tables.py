@@ -11,10 +11,12 @@ assignment.  :func:`quadrant_tables` answers them once as flat NumPy arrays
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from ..errors import AssignmentError
 from .net import NetType
 from .quadrant import Quadrant
 
@@ -57,12 +59,39 @@ class QuadrantTables:
             return self.index_of_id[ids - self.id_base]
         return self.id_sorter[np.searchsorted(self.net_ids, ids, sorter=self.id_sorter)]
 
+    @cached_property
+    def index_by_id(self) -> Dict[int, int]:
+        """Net index by net id, for scalar lookups (built on first use)."""
+        return dict(zip(self.net_ids.tolist(), range(len(self.net_ids))))
+
     def net_slots(self, order: Sequence[int]) -> np.ndarray:
-        """0-based slot of every net index under a slot-ordered id list."""
-        ids = np.fromiter(order, dtype=np.int64, count=len(order))
-        net_slot = np.empty(len(ids), dtype=np.int64)
-        net_slot[self.indices(ids)] = np.arange(len(ids), dtype=np.int64)
-        return net_slot
+        """0-based slot of every net index under a slot-ordered id list.
+
+        The one conversion from an order to its inverse permutation, run by
+        the :class:`~repro.assign.Assignment` constructor; raises
+        :class:`~repro.errors.AssignmentError` unless *order* is a
+        permutation of the quadrant's (integer) net ids.
+        """
+        ids, count = np.asarray(order), len(self.net_ids)
+        ok = ids.shape == (count,) and ids.dtype.kind in "iu"
+        if ok and self.index_of_id is not None:
+            offset = ids - self.id_base
+            ok = offset.min() >= 0 and offset.max() < len(self.index_of_id)
+            index = self.index_of_id[offset] if ok else None
+            ok = ok and index.min() >= 0  # -1: a foreign id inside the id span
+        elif ok:
+            found = np.searchsorted(self.net_ids, ids, sorter=self.id_sorter)
+            index = self.id_sorter[np.minimum(found, count - 1)]
+            ok = np.array_equal(self.net_ids[index], ids)
+        if ok:
+            net_slot = np.full(count, -1, dtype=np.int64)
+            net_slot[index] = np.arange(count, dtype=np.int64)
+            if net_slot.min() >= 0:  # a duplicate leaves some net unplaced
+                return net_slot
+        raise AssignmentError(
+            "assignment order must be a permutation of the quadrant's nets: "
+            f"got {len(order)} entries for {count} nets"
+        )
 
     def flyline_total(self, net_slot: np.ndarray) -> float:
         """Total flyline length with net index ``k`` on slot ``net_slot[k]``."""

@@ -54,7 +54,7 @@ def supply_pad_fraction_array(
         tables = quadrant_tables(quadrant)
         supply = tables.type_nets[net_type]
         if len(supply):
-            net_slot = tables.net_slots(assignments[side].order)
+            net_slot = assignments[side].net_slot
             # PackageDesign.ring_position's (offset + slot - 0.5) / N, 1-based
             parts.append((offset + net_slot[supply] + 0.5) / ring_slots)
         offset += quadrant.net_count

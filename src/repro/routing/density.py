@@ -141,7 +141,7 @@ def max_density(assignment: Assignment, validate: bool = True) -> int:
 
     if validate:
         check_legal(assignment)
-    return max_density_of_order(assignment.quadrant, assignment.order)
+    return max_density_of_order(assignment)
 
 
 def max_density_of_design(assignments: Dict) -> int:

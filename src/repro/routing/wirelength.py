@@ -44,7 +44,7 @@ def total_flyline_length_of_design(assignments: Dict) -> float:
     total = 0.0
     for assignment in assignments.values():
         tables = quadrant_tables(assignment.quadrant)
-        total += tables.flyline_total(tables.net_slots(assignment.order))
+        total += tables.flyline_total(assignment.net_slot)
     return total
 
 

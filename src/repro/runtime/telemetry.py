@@ -72,16 +72,35 @@ class Telemetry:
         (The positional parameter is deliberately *not* called ``name`` —
         span events carry a ``name`` field of their own.)
         """
+        event = self._event(event_name, fields)
+        self._record(event)
+        return event
+
+    def emit_elapsed(self, event_name: str, start: float, **fields) -> dict:
+        """:meth:`emit` with ``seconds`` since *start* (a ``perf_counter`` reading).
+
+        ``seconds`` is read once the rest of the event is built, so a timed
+        region that ends with this event (a span) counts building it as its
+        own time, not its caller's.
+        """
+        event = self._event(event_name, fields)
+        event["seconds"] = round(time.perf_counter() - start, 6)
+        self._record(event)
+        return event
+
+    def _event(self, event_name: str, fields: dict) -> dict:
         event = {"event": event_name, "t": round(time.perf_counter() - self._start, 6)}
         span_id = _SPAN.get()
         if span_id is not None:
             event["span"] = span_id
         event.update(fields)
+        return event
+
+    def _record(self, event: dict) -> None:
         with self._lock:
             self.events.append(event)
         if self._sink is not None:
             self._sink(event)
-        return event
 
     def ingest(self, events: Iterable[dict], offset: float = 0.0, **extra) -> None:
         """Re-emit events collected elsewhere (e.g. in a worker process).
@@ -95,10 +114,7 @@ class Telemetry:
             if offset and isinstance(merged.get("t"), (int, float)):
                 merged["t"] = round(merged["t"] + offset, 6)
             merged.update(extra)
-            with self._lock:
-                self.events.append(merged)
-            if self._sink is not None:
-                self._sink(merged)
+            self._record(merged)
 
     def events_named(self, name: str) -> List[dict]:
         with self._lock:

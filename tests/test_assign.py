@@ -4,6 +4,7 @@ import hashlib
 import json
 import random
 from repro.assign import assign_design
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,7 +34,7 @@ from repro.circuits import (
     table1_circuit,
 )
 from repro.errors import AssignmentError, LegalityError
-from repro.package import quadrant_from_rows
+from repro.package import quadrant_from_rows, quadrant_tables
 from repro.routing import max_density
 
 
@@ -82,6 +83,83 @@ class TestAssignment:
         left = assignment.finger_position(10)
         right = assignment.finger_position(0)
         assert left.x < right.x
+
+
+#: ids 5..11 without 8: a dense id table (span 7 <= 4 x 6 nets) with a hole
+GAPPED_ROWS = [[5, 6, 7], [9, 10, 11]]
+#: ids spread far past 4 x the net count: the ``searchsorted`` lookup
+SPARSE_ROWS = [[0, 1000, 2000], [3000, 4000]]
+
+
+class TestAssignmentConstructor:
+    """The one vectorized pass that checks the order and builds ``net_slot``."""
+
+    @pytest.mark.parametrize(
+        "order",
+        [
+            pytest.param([5, 5, 7, 9, 10, 11], id="duplicate"),
+            pytest.param([5, 6, 7, 9, 10], id="missing"),
+            pytest.param([5, 6, 7, 9, 10, 8], id="foreign"),
+            pytest.param([4, 6, 7, 9, 10, 11], id="below-smallest"),
+            pytest.param([5, 6, 7, 9, 10, 12], id="past-dense-table"),
+            pytest.param([5, 6, 7, 9, 10, 1.5], id="non-integral"),
+        ],
+    )
+    def test_dense_ids_reject(self, order):
+        quadrant = quadrant_from_rows(GAPPED_ROWS)
+        assert quadrant_tables(quadrant).index_of_id is not None
+        with pytest.raises(AssignmentError):
+            Assignment(quadrant, order)
+
+    @pytest.mark.parametrize(
+        "order",
+        [
+            pytest.param([0, 0, 2000, 3000, 4000], id="duplicate"),
+            pytest.param([0, 1000, 2000, 3000], id="missing"),
+            pytest.param([0, 1000, 1500, 3000, 4000], id="foreign"),
+            pytest.param([-1, 1000, 2000, 3000, 4000], id="below-smallest"),
+            pytest.param([0, 1000, 2000, 3000, 4001], id="past-largest"),
+            pytest.param([0, 1000, 2000, 3000, 1000.5], id="non-integral"),
+        ],
+    )
+    def test_sparse_ids_reject(self, order):
+        quadrant = quadrant_from_rows(SPARSE_ROWS)
+        assert quadrant_tables(quadrant).id_sorter is not None
+        with pytest.raises(AssignmentError):
+            Assignment(quadrant, order)
+
+    @pytest.mark.parametrize("rows", [GAPPED_ROWS, SPARSE_ROWS], ids=["dense", "sparse"])
+    def test_net_slot_inverts_the_order(self, rows):
+        quadrant = quadrant_from_rows(rows)
+        order = [net for row in rows for net in row][::-1]
+        net_slot = Assignment(quadrant, order).net_slot
+        net_ids = quadrant_tables(quadrant).net_ids.tolist()
+        assert [order[slot] for slot in net_slot.tolist()] == net_ids
+
+    def test_net_slot_follows_swaps_and_copies(self, fig5):
+        def inverse_ok(assignment):
+            net_ids = quadrant_tables(assignment.quadrant).net_ids.tolist()
+            order = assignment.order
+            return [order[slot] for slot in assignment.net_slot.tolist()] == net_ids
+
+        assignment = Assignment(fig5, FIG5_RANDOM_ORDER)
+        rng = random.Random(7)
+        for __ in range(50):
+            slot_a, slot_b = rng.sample(range(1, assignment.slot_count + 1), 2)
+            assignment.swap_slots(slot_a, slot_b)
+            assert inverse_ok(assignment)
+        clone = assignment.copy()
+        assert inverse_ok(clone)
+        assert not np.shares_memory(clone.net_slot, assignment.net_slot)
+        clone.swap_slots(1, 2)
+        assert inverse_ok(clone) and inverse_ok(assignment)
+        assert clone.net_slot.tolist() != assignment.net_slot.tolist()
+
+    def test_net_slot_is_read_only(self, fig5):
+        assignment = Assignment(fig5, FIG5_RANDOM_ORDER)
+        with pytest.raises(ValueError):
+            assignment.net_slot[0] = 3
+        assert assignment.slot_of(10) == 1
 
 
 class TestLegality:

@@ -158,7 +158,13 @@ class TestExchangeSpanCoverage:
 class TestMeasureSpanCoverage:
     @pytest.fixture(scope="class")
     def trees(self):
-        """Span trees of one 1,792-finger ``api.run`` at psi 1 and psi 4."""
+        """Span trees of a 1,792-finger ``api.run`` at psi 1 and psi 4.
+
+        Each design runs twice in this process: first from an empty
+        factorization memo, then again with its grids already factored,
+        where ``flow.measure`` is a few milliseconds and every span's own
+        bookkeeping weighs the most.
+        """
         from repro import api
         from repro.circuits import CircuitSpec, build_design
 
@@ -168,9 +174,10 @@ class TestMeasureSpanCoverage:
                 CircuitSpec(name="cover", finger_count=1792, tier_count=tiers),
                 seed=0,
             )
-            telemetry = Telemetry()
-            api.run(design, seed=0, telemetry=telemetry)
-            trees[tiers] = build_span_tree(telemetry.events)
+            for memo in ("cold", "warm"):
+                telemetry = Telemetry()
+                api.run(design, seed=0, telemetry=telemetry)
+                trees[tiers, memo] = build_span_tree(telemetry.events)
         return trees
 
     def test_flow_measure_untracked_under_5pct(self, trees):
@@ -178,7 +185,7 @@ class TestMeasureSpanCoverage:
 
         Stacking ICs (psi > 1) add the omega count as ``measure.omega``.
         """
-        for tiers, tree in trees.items():
+        for (tiers, __), tree in trees.items():
             (measure,) = [node for node in tree.walk() if node.name == "flow.measure"]
             names = [child.name for child in measure.children]
             stages = ["measure.density", "measure.wirelength", "measure.ir"]
@@ -210,6 +217,22 @@ class TestSpanPrimitives:
         assert [node.name for node in tree.walk()] == ["outer", "inner"]
         inner = tree.roots[0].children[0]
         assert inner.events[0]["event"] == "sa.begin"
+
+    def test_bookkeeping_is_charged_to_the_span(self):
+        """Minting ids and emitting both events count as a span's own time.
+
+        A parent of many empty children is left with little self time;
+        were the children's bookkeeping charged to the parent, its self
+        time would be several times the children's total.
+        """
+        telemetry = Telemetry()
+        with span("parent", telemetry):
+            for __ in range(500):
+                with span("child", telemetry):
+                    pass
+        (parent,) = build_span_tree(telemetry.events).roots
+        assert len(parent.children) == 500
+        assert parent.self_seconds < sum(child.seconds for child in parent.children)
 
     def test_null_path_mints_nothing(self):
         from repro.runtime.telemetry import get_telemetry

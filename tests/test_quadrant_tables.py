@@ -71,9 +71,9 @@ class TestQuadrantTables:
             assignments = assign_design(assigner, design, seed=1)
             for assignment in assignments.values():
                 assert is_legal(assignment)
-                assert max_density_of_order(
-                    assignment.quadrant, assignment.order
-                ) == density_map(assignment).max_density
+                assert max_density_of_order(assignment) == density_map(
+                    assignment
+                ).max_density
             reference = sum(total_flyline_length(a) for a in assignments.values())
             assert total_flyline_length_of_design(assignments) == pytest.approx(
                 reference, rel=1e-12

@@ -116,9 +116,9 @@ class TestDensityKernelParity:
         for assigner in (DFAAssigner(), IFAAssigner(), RandomAssigner()):
             assignments = assign_design(assigner, small_design, seed=1)
             for assignment in assignments.values():
-                assert max_density_of_order(
-                    assignment.quadrant, assignment.order
-                ) == density_map(assignment).max_density
+                assert max_density_of_order(assignment) == density_map(
+                    assignment
+                ).max_density
                 assert max_density(assignment) == density_map(
                     assignment
                 ).max_density
