@@ -366,7 +366,7 @@ def _swapped_parity(design, assignments: Dict, rng: random.Random) -> List[str]:
         for side, assignment in group.items():
             order = np.array(assignment.order)[assignment.net_slot]
             if not np.array_equal(order, quadrant_tables(assignment.quadrant).net_ids):
-                problems.append(f"{side.value} {label}: net_slot is not the inverse of the order")
+                problems.append(f"{side.value} {label}: net_slot does not invert the order")
 
     def measured(group: Dict) -> tuple:
         pads = []

@@ -73,21 +73,20 @@ class QuadrantTables:
         permutation of the quadrant's (integer) net ids.
         """
         ids, count = np.asarray(order), len(self.net_ids)
-        ok = ids.shape == (count,) and ids.dtype.kind in "iu"
-        if ok and self.index_of_id is not None:
-            offset = ids - self.id_base
-            ok = offset.min() >= 0 and offset.max() < len(self.index_of_id)
-            index = self.index_of_id[offset] if ok else None
-            ok = ok and index.min() >= 0  # -1: a foreign id inside the id span
-        elif ok:
-            found = np.searchsorted(self.net_ids, ids, sorter=self.id_sorter)
-            index = self.id_sorter[np.minimum(found, count - 1)]
-            ok = np.array_equal(self.net_ids[index], ids)
-        if ok:
-            net_slot = np.full(count, -1, dtype=np.int64)
-            net_slot[index] = np.arange(count, dtype=np.int64)
-            if net_slot.min() >= 0:  # a duplicate leaves some net unplaced
-                return net_slot
+        if ids.shape == (count,) and ids.dtype.kind in "iu":
+            ids = ids.astype(np.int64, copy=False)
+            # a clipped lookup lands on some net; a foreign or out-of-range
+            # id then differs from that net's id
+            if self.index_of_id is not None:
+                index = self.index_of_id.take(ids - self.id_base, mode="clip")
+            else:
+                found = np.searchsorted(self.net_ids, ids, sorter=self.id_sorter)
+                index = self.id_sorter.take(found, mode="clip")
+            if np.array_equal(self.net_ids[index], ids):
+                net_slot = np.full(count, -1, dtype=np.int64)
+                net_slot[index] = np.arange(count, dtype=np.int64)
+                if net_slot.min() >= 0:  # a duplicate leaves some net unplaced
+                    return net_slot
         raise AssignmentError(
             "assignment order must be a permutation of the quadrant's nets: "
             f"got {len(order)} entries for {count} nets"
