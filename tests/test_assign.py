@@ -128,14 +128,6 @@ class TestAssignmentConstructor:
         with pytest.raises(AssignmentError):
             Assignment(quadrant, order)
 
-    @pytest.mark.parametrize("rows", [GAPPED_ROWS, SPARSE_ROWS], ids=["dense", "sparse"])
-    def test_net_slot_inverts_the_order(self, rows):
-        quadrant = quadrant_from_rows(rows)
-        order = [net for row in rows for net in row][::-1]
-        net_slot = Assignment(quadrant, order).net_slot
-        net_ids = quadrant_tables(quadrant).net_ids.tolist()
-        assert [order[slot] for slot in net_slot.tolist()] == net_ids
-
     def test_net_slot_follows_swaps_and_copies(self, fig5):
         def inverse_ok(assignment):
             net_ids = quadrant_tables(assignment.quadrant).net_ids.tolist()
