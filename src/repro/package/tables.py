@@ -53,11 +53,16 @@ class QuadrantTables:
     via_ball: np.ndarray
 
     def indices(self, ids) -> np.ndarray:
-        """Net index of every net id in *ids*."""
+        """Net index of every net id in *ids*.
+
+        The lookup is clipped, so an id that is no net's lands on some
+        other net: compare ``net_ids[indices(ids)]`` with *ids* to check.
+        """
         ids = np.asarray(ids, dtype=np.int64)
         if self.index_of_id is not None:
-            return self.index_of_id[ids - self.id_base]
-        return self.id_sorter[np.searchsorted(self.net_ids, ids, sorter=self.id_sorter)]
+            return self.index_of_id.take(ids - self.id_base, mode="clip")
+        found = np.searchsorted(self.net_ids, ids, sorter=self.id_sorter)
+        return self.id_sorter.take(found, mode="clip")
 
     @cached_property
     def index_by_id(self) -> Dict[int, int]:
@@ -74,14 +79,7 @@ class QuadrantTables:
         """
         ids, count = np.asarray(order), len(self.net_ids)
         if ids.shape == (count,) and ids.dtype.kind in "iu":
-            ids = ids.astype(np.int64, copy=False)
-            # a clipped lookup lands on some net; a foreign or out-of-range
-            # id then differs from that net's id
-            if self.index_of_id is not None:
-                index = self.index_of_id.take(ids - self.id_base, mode="clip")
-            else:
-                found = np.searchsorted(self.net_ids, ids, sorter=self.id_sorter)
-                index = self.id_sorter.take(found, mode="clip")
+            index = self.indices(ids)
             if np.array_equal(self.net_ids[index], ids):
                 net_slot = np.full(count, -1, dtype=np.int64)
                 net_slot[index] = np.arange(count, dtype=np.int64)
