@@ -18,21 +18,14 @@ from ..package import Quadrant, quadrant_tables
 
 
 class Assignment:
-    """A bijection between a quadrant's nets and its finger slots.
-
-    It keeps the net ids in slot order and their inverse, :attr:`net_slot`,
-    which the constructor builds in the pass that checks the order and
-    :meth:`swap_slots` keeps in step; measurements read the inverse.
-    """
+    """A bijection between a quadrant's nets and its finger slots: the net ids
+    in slot order and their inverse :attr:`net_slot`, which measurements read."""
 
     def __init__(self, quadrant: Quadrant, order: Sequence[int]) -> None:
         order = list(order)
         self.quadrant = quadrant
         self._tables = quadrant_tables(quadrant)
         self._net_slot = self._tables.net_slots(order)
-        # the scalar path: a memoryview item is a plain int, ~2x faster to
-        # read than an ndarray item, and writes go through to the array
-        self._slots = memoryview(self._net_slot)
         self._order: List[int] = order
 
     # -- queries -------------------------------------------------------------
@@ -58,7 +51,7 @@ class Assignment:
     def slot_of(self, net_id: int) -> int:
         """Finger slot (1-based) holding *net_id*."""
         try:
-            return self._slots[self._tables.index_by_id[net_id]] + 1
+            return int(self._net_slot[self._tables.index_by_id[net_id]]) + 1
         except KeyError:
             raise AssignmentError(f"net {net_id} not in assignment") from None
 
@@ -81,8 +74,8 @@ class Assignment:
         self._order[slot_a - 1] = net_b
         self._order[slot_b - 1] = net_a
         index_by_id = self._tables.index_by_id
-        self._slots[index_by_id[net_a]] = slot_b - 1
-        self._slots[index_by_id[net_b]] = slot_a - 1
+        self._net_slot[index_by_id[net_a]] = slot_b - 1
+        self._net_slot[index_by_id[net_b]] = slot_a - 1
 
     def copy(self) -> "Assignment":
         """An independent copy sharing the (immutable) quadrant."""
@@ -90,7 +83,6 @@ class Assignment:
         clone.quadrant = self.quadrant
         clone._tables = self._tables
         clone._net_slot = self._net_slot.copy()
-        clone._slots = memoryview(clone._net_slot)
         clone._order = list(self._order)
         return clone
 

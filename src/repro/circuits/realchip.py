@@ -29,7 +29,7 @@ import numpy as np
 
 from ..assign import DFAAssigner, RandomAssigner, swap_is_legal
 from ..exchange import CostWeights, FingerPadExchanger, SAParams
-from ..package import NetType, PackageDesign
+from ..package import PackageDesign
 from ..power import FDSolver, PowerGridConfig
 from ..power.pads import pad_nodes_for_grid
 from ..units import to_mv

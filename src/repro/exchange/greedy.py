@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from ..package import NetType, PackageDesign
-from .annealer import SAStats
 from .cost import CostWeights
 from .exchanger import ExchangeResult, FingerPadExchanger
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from ..assign import assign_design
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ..assign import DFAAssigner
 from ..exchange import CostWeights, FingerPadExchanger, SAParams

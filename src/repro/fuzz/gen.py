@@ -23,7 +23,7 @@ import hashlib
 import json
 import random
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..errors import CircuitSpecError
 
@@ -171,10 +171,6 @@ class CaseGenerator:
     def __init__(self, seed: int = 0) -> None:
         self.seed = seed
         self._rng = random.Random(seed)
-
-    def __iter__(self) -> Iterator[FuzzCase]:
-        while True:
-            yield self.case()
 
     def case(self) -> FuzzCase:
         """The next case; always constructible as a ``CircuitSpec``."""

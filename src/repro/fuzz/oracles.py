@@ -339,18 +339,14 @@ def oracle_density_parity(case: FuzzCase) -> List[str]:
 
 
 def _swapped_parity(design, assignments: Dict, rng: random.Random) -> List[str]:
-    """Copies walked through random legal adjacent swaps vs fresh assignments.
-
-    Each copy's ``net_slot`` (and its untouched original's) must stay the
-    inverse of its order; density, wirelength and supply-pad fractions
-    must equal those of a fresh ``Assignment`` of the swapped order.
-    """
+    """Copies walked through random legal adjacent swaps vs fresh
+    assignments, and the originals' ``net_slot`` (see the module doc)."""
     import numpy as np
 
     from ..assign import Assignment, swap_is_legal
     from ..errors import PowerModelError
     from ..kernels import max_density_of_order
-    from ..package import NetType, quadrant_tables
+    from ..package import quadrant_tables
     from ..power import supply_pad_fractions
     from ..routing import total_flyline_length_of_design as wirelength
 
@@ -361,20 +357,18 @@ def _swapped_parity(design, assignments: Dict, rng: random.Random) -> List[str]:
             if swap_is_legal(assignment, slot, slot + 1):
                 assignment.swap_slots(slot, slot + 1)
     fresh = {side: Assignment(a.quadrant, a.order) for side, a in swapped.items()}
-    problems: List[str] = []
-    for label, group in (("original", assignments), ("swapped", swapped)):
-        for side, assignment in group.items():
-            order = np.array(assignment.order)[assignment.net_slot]
-            if not np.array_equal(order, quadrant_tables(assignment.quadrant).net_ids):
-                problems.append(f"{side.value} {label}: net_slot does not invert the order")
+    problems = [
+        f"{side.value} {label}: net_slot does not invert the order"
+        for label, group in (("original", assignments), ("swapped", swapped))
+        for side, a in group.items()
+        if not np.array_equal(np.array(a.order)[a.net_slot], quadrant_tables(a.quadrant).net_ids)
+    ]
 
     def measured(group: Dict) -> tuple:
-        pads = []
-        for net_type in (NetType.POWER, NetType.GROUND, None):
-            try:
-                pads.append(supply_pad_fractions(design, group, net_type))
-            except PowerModelError:  # no pads of this type
-                pads.append(None)
+        try:  # every supply pad (POWER and GROUND) in netlist order
+            pads = supply_pad_fractions(design, group, None)
+        except PowerModelError:  # no supply nets
+            pads = None
         return [max_density_of_order(a) for a in group.values()], wirelength(group), pads
 
     for label, got, want in zip(("max density", "wirelength", "pad fractions"),

@@ -140,11 +140,9 @@ def run_fuzz(
     *corpus_dir* when one is given.
     """
     from ..obs.spans import span
-    from ..runtime.telemetry import Telemetry, get_telemetry
+    from ..runtime.telemetry import get_telemetry
 
     telemetry = telemetry if telemetry is not None else get_telemetry()
-    if telemetry is None:  # pragma: no cover - get_telemetry never returns None
-        telemetry = Telemetry()
     metrics = telemetry.metrics
     selected = _select_oracles(oracles)
     generator = CaseGenerator(seed)

@@ -143,7 +143,7 @@ class ArrayExchangeKernel:
         #: Observability counter (read by the exchanger's ``kernel.stats``
         #: telemetry event): total ``_swap`` calls.
         self.swap_count = 0
-        self._rebuild()
+        self._rebuild(at_baseline=True)
         # the baseline's weighted gap sum normalizes the IR term to 1.0
         self._ir_initial = sum(self._sumsq)
         if not self._ir_initial:
@@ -153,11 +153,12 @@ class ArrayExchangeKernel:
 
     # -- state (re)construction ---------------------------------------------
 
-    def _rebuild(self) -> None:
-        """Recompute every incremental structure from the slot lists."""
+    def _rebuild(self, at_baseline: bool = False) -> None:
+        """Recompute every incremental structure from the slot lists (at
+        the baseline every run's density delta is zero: nothing to count)."""
         net_slots = [int_array(arrays.net_slot) for arrays in self.sides]
         self._rebuild_ir(net_slots)
-        self._rebuild_density(net_slots)
+        self._rebuild_density([] if at_baseline else net_slots)
         if self.psi > 1:
             self._rebuild_bonding()
 

@@ -45,7 +45,6 @@ from .metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    get_metrics,
     merge_histograms,
 )
 from .spans import SpanHandle, attached_to, current_span_id, new_span_id, open_span, span
@@ -61,7 +60,6 @@ _LAZY_NAMES = {
     "SCHEMA_VERSION": "schema",
     "validate_event": "schema",
     "validate_trace": "schema",
-    "known_events": "schema",
     "SpanNode": "trace",
     "load_trace": "trace",
     "build_span_tree": "trace",
@@ -95,7 +93,6 @@ __all__ = [
     "SpanHandle",
     "attached_to",
     "current_span_id",
-    "get_metrics",
     "merge_histograms",
     "metrics",
     "new_span_id",

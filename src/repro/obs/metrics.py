@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 #: Schema version of the ``metrics`` event payload.
 METRICS_VERSION = 1
@@ -120,10 +120,6 @@ class Histogram:
             self.max = value
         self._registry.dirty = True
 
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
     def snapshot(self) -> dict:
         return {
             "kind": self.kind,
@@ -171,9 +167,6 @@ class MetricsRegistry:
 
     def histogram(self, name: str, bounds: Sequence[float]) -> Histogram:
         return self._get(name, lambda: Histogram(name, bounds, self), "histogram")
-
-    def names(self) -> List[str]:
-        return sorted(self._instruments)
 
     def snapshot(self) -> Dict[str, dict]:
         return {
@@ -239,13 +232,6 @@ class _NullRegistry(MetricsRegistry):
 NULL_REGISTRY = _NullRegistry()
 
 
-def get_metrics() -> MetricsRegistry:
-    """The active telemetry's registry (the null registry when disabled)."""
-    from ..runtime.telemetry import get_telemetry
-
-    return get_telemetry().metrics
-
-
 def merge_histograms(snapshots: Sequence[dict]) -> Optional[dict]:
     """Sum histogram snapshots with identical bounds into one.
 
@@ -256,15 +242,9 @@ def merge_histograms(snapshots: Sequence[dict]) -> Optional[dict]:
     merged: Optional[dict] = None
     for snap in snapshots:
         if merged is None:
-            merged = {
-                "kind": "histogram",
-                "bounds": list(snap["bounds"]),
-                "counts": list(snap["counts"]),
-                "count": snap["count"],
-                "sum": snap["sum"],
-                "min": snap["min"],
-                "max": snap["max"],
-            }
+            merged = {"kind": "histogram", "bounds": list(snap["bounds"]),
+                      "counts": list(snap["counts"])}
+            merged.update((key, snap[key]) for key in ("count", "sum", "min", "max"))
             continue
         if list(snap["bounds"]) != merged["bounds"]:
             raise ValueError("cannot merge histograms with different bounds")

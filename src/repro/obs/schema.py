@@ -126,10 +126,6 @@ OPTIONAL: Dict[str, Dict[str, tuple]] = {
 COMMON_OPTIONAL = ("span", "job", "name", "parent", "status")
 
 
-def known_events() -> List[str]:
-    return sorted(REQUIRED)
-
-
 def validate_event(event, index: int = 0) -> List[Tuple[str, str]]:
     """Problems with one event as ``(code, message)`` pairs (empty = valid)."""
     problems: List[Tuple[str, str]] = []

@@ -103,8 +103,8 @@ class SpanHandle:
             return
         self.closed = True
         merged = dict(self._fields, **fields)
-        self._telemetry.emit_elapsed("span.end", self._start, name=self.name,
-                                     span=self.span_id, parent=self.parent_id, **merged)
+        self._telemetry.emit("span.end", since=self._start, name=self.name,
+                             span=self.span_id, parent=self.parent_id, **merged)
 
     def __enter__(self) -> str:
         self._token = _SPAN.set(self.span_id)

@@ -10,7 +10,7 @@ bench writers share one code path.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List
 
 from .metrics import merge_histograms
 from .trace import SpanTree, build_span_tree

@@ -99,13 +99,6 @@ class BumpArray:
         except KeyError:
             raise PackageModelError(f"net {net_id} has no bump ball") from None
 
-    def net_ids(self) -> List[int]:
-        """All net ids, outer rows first, left to right within each row."""
-        return [net_id for row in self._rows for net_id in row]
-
-    def __contains__(self, net_id: int) -> bool:
-        return net_id in self._ball_of
-
     def rows_top_down(self) -> List[int]:
         """Row indices from the highest line (nearest fingers) outwards.
 

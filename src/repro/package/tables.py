@@ -53,16 +53,11 @@ class QuadrantTables:
     via_ball: np.ndarray
 
     def indices(self, ids) -> np.ndarray:
-        """Net index of every net id in *ids*.
-
-        The lookup is clipped, so an id that is no net's lands on some
-        other net: compare ``net_ids[indices(ids)]`` with *ids* to check.
-        """
+        """Net index of every net id in *ids*."""
         ids = np.asarray(ids, dtype=np.int64)
         if self.index_of_id is not None:
-            return self.index_of_id.take(ids - self.id_base, mode="clip")
-        found = np.searchsorted(self.net_ids, ids, sorter=self.id_sorter)
-        return self.id_sorter.take(found, mode="clip")
+            return self.index_of_id[ids - self.id_base]
+        return self.id_sorter[np.searchsorted(self.net_ids, ids, sorter=self.id_sorter)]
 
     @cached_property
     def index_by_id(self) -> Dict[int, int]:
@@ -70,16 +65,15 @@ class QuadrantTables:
         return dict(zip(self.net_ids.tolist(), range(len(self.net_ids))))
 
     def net_slots(self, order: Sequence[int]) -> np.ndarray:
-        """0-based slot of every net index under a slot-ordered id list.
-
-        The one conversion from an order to its inverse permutation, run by
-        the :class:`~repro.assign.Assignment` constructor; raises
-        :class:`~repro.errors.AssignmentError` unless *order* is a
-        permutation of the quadrant's (integer) net ids.
-        """
+        """0-based slot of every net index under a slot-ordered id list (the
+        :class:`~repro.assign.Assignment` constructor's one conversion); raises
+        :class:`~repro.errors.AssignmentError` unless *order* is a permutation
+        of the quadrant's (integer) net ids."""
         ids, count = np.asarray(order), len(self.net_ids)
         if ids.shape == (count,) and ids.dtype.kind in "iu":
-            index = self.indices(ids)
+            # clipped into the id range, an id of no net finds some other
+            # net and fails the comparison instead of indexing out of range
+            index = self.indices(ids.clip(self.id_base, self.net_ids.max()))
             if np.array_equal(self.net_ids[index], ids):
                 net_slot = np.full(count, -1, dtype=np.int64)
                 net_slot[index] = np.arange(count, dtype=np.int64)

@@ -27,7 +27,7 @@ from typing import Dict, List
 from ..assign import Assignment, is_legal
 from ..errors import RoutingError
 from ..geometry import Point
-from .density import DensityMap, RunDensity, density_map
+from .density import DensityMap, density_map
 from .paths import RoutedNet
 from .via_planner import plan_vias, verify_via_order, via_capacity_check
 

@@ -46,7 +46,6 @@ from .telemetry import (
     JsonlSink,
     Telemetry,
     get_telemetry,
-    set_telemetry,
     using_telemetry,
 )
 
@@ -68,6 +67,5 @@ __all__ = [
     "job_types",
     "register_job_type",
     "resolve_job_type",
-    "set_telemetry",
     "using_telemetry",
 ]

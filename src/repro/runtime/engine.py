@@ -34,6 +34,7 @@ import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeout
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -46,11 +47,6 @@ from .cache import MISS, ResultCache
 from .journal import JobJournal
 from .spec import JobSpec, resolve_job_type
 from .telemetry import Telemetry, get_telemetry, using_telemetry
-
-try:  # BrokenProcessPool moved around across Python versions
-    from concurrent.futures.process import BrokenProcessPool
-except ImportError:  # pragma: no cover
-    BrokenProcessPool = OSError
 
 
 @dataclass

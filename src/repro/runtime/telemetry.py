@@ -40,11 +40,6 @@ from typing import Callable, Dict, Iterable, List, Optional
 _SPAN: ContextVar[Optional[str]] = ContextVar("repro_span", default=None)
 
 
-def current_span_id() -> Optional[str]:
-    """Id of the innermost active span, or ``None`` outside any span."""
-    return _SPAN.get()
-
-
 class Telemetry:
     """Event buffer + counters, optionally forwarding to a sink."""
 
@@ -64,43 +59,30 @@ class Telemetry:
 
     # -- events ------------------------------------------------------------
 
-    def emit(self, event_name: str, **fields) -> dict:
+    def emit(self, event_name: str, *, since: Optional[float] = None, **fields) -> dict:
         """Record one event; ``t`` is seconds since this object's creation.
+
+        With *since* (a ``perf_counter`` reading) it also carries ``seconds``
+        since then, read once the rest of the event is built, so a span
+        counts building its own ``span.end`` as its own time.
 
         Events emitted inside an active span (see :func:`repro.obs.spans.span`)
         are stamped with its id as ``span`` unless the caller supplies one.
         (The positional parameter is deliberately *not* called ``name`` —
         span events carry a ``name`` field of their own.)
         """
-        event = self._event(event_name, fields)
-        self._record(event)
-        return event
-
-    def emit_elapsed(self, event_name: str, start: float, **fields) -> dict:
-        """:meth:`emit` with ``seconds`` since *start* (a ``perf_counter`` reading).
-
-        ``seconds`` is read once the rest of the event is built, so a timed
-        region that ends with this event (a span) counts building it as its
-        own time, not its caller's.
-        """
-        event = self._event(event_name, fields)
-        event["seconds"] = round(time.perf_counter() - start, 6)
-        self._record(event)
-        return event
-
-    def _event(self, event_name: str, fields: dict) -> dict:
         event = {"event": event_name, "t": round(time.perf_counter() - self._start, 6)}
         span_id = _SPAN.get()
         if span_id is not None:
             event["span"] = span_id
         event.update(fields)
-        return event
-
-    def _record(self, event: dict) -> None:
+        if since is not None:
+            event["seconds"] = round(time.perf_counter() - since, 6)
         with self._lock:
             self.events.append(event)
         if self._sink is not None:
             self._sink(event)
+        return event
 
     def ingest(self, events: Iterable[dict], offset: float = 0.0, **extra) -> None:
         """Re-emit events collected elsewhere (e.g. in a worker process).
@@ -114,7 +96,10 @@ class Telemetry:
             if offset and isinstance(merged.get("t"), (int, float)):
                 merged["t"] = round(merged["t"] + offset, 6)
             merged.update(extra)
-            self._record(merged)
+            with self._lock:
+                self.events.append(merged)
+            if self._sink is not None:
+                self._sink(merged)
 
     def events_named(self, name: str) -> List[dict]:
         with self._lock:
@@ -258,10 +243,6 @@ class JsonlSink:
                 if self._handle is not None and not self._handle.closed:
                     self._handle.close()
 
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
     def __enter__(self) -> "JsonlSink":
         return self
 
@@ -286,18 +267,6 @@ _active: ContextVar[Telemetry] = ContextVar("repro_telemetry", default=NULL)
 def get_telemetry() -> Telemetry:
     """The currently active telemetry (a no-op unless one was installed)."""
     return _active.get()
-
-
-def set_telemetry(telemetry: Optional[Telemetry]) -> Telemetry:
-    """Install *telemetry* as the active object; returns the previous one.
-
-    Context-local: the installation is visible in the current thread (and
-    anything that inherits its context, e.g. ``asyncio.to_thread``), not
-    in threads started beforehand.
-    """
-    previous = _active.get()
-    _active.set(telemetry if telemetry is not None else NULL)
-    return previous
 
 
 @contextmanager

@@ -22,7 +22,6 @@ chains never perturbs existing ones.
 from __future__ import annotations
 
 import hashlib
-import math
 import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional

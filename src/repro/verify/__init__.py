@@ -43,7 +43,6 @@ from .diagnostics import (
     WARNING,
     Diagnostic,
     VerificationReport,
-    merge,
 )
 from .policy import (
     CLI_POLICIES,
@@ -52,7 +51,6 @@ from .policy import (
     POLICIES,
     REPAIR,
     STRICT,
-    enabled,
     normalize,
     repair_assignment,
     repair_assignments,
@@ -80,8 +78,6 @@ __all__ = [
     "check_trace_events",
     "check_wire_request",
     "check_workload",
-    "enabled",
-    "merge",
     "normalize",
     "repair_assignment",
     "repair_assignments",

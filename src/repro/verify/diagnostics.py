@@ -12,7 +12,7 @@ serve ``--verify strict`` and ``--verify repair`` unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
 from ..errors import VerificationError
 
@@ -144,11 +144,3 @@ class VerificationReport:
         ]
         lines.extend(str(d) for d in self.diagnostics)
         return "\n".join(lines)
-
-
-def merge(reports: Iterable[VerificationReport], subject: str = "") -> VerificationReport:
-    """Fold several reports into one (diagnostics concatenated in order)."""
-    merged = VerificationReport(subject=subject)
-    for report in reports:
-        merged.extend(report)
-    return merged

@@ -42,10 +42,6 @@ def normalize(policy) -> str:
     return value
 
 
-def enabled(policy) -> bool:
-    return normalize(policy) != OFF
-
-
 # -- repairs ---------------------------------------------------------------
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Dict, Union
 
-from ..geometry import Point, Side, canonical_to_side
+from ..geometry import Point, canonical_to_side
 from ..package import NetType
 
 _COLORS = {

@@ -1,7 +1,9 @@
 """Unit tests for the assignment algorithms, including the paper's examples."""
 
+import copy
 import hashlib
 import json
+import pickle
 import random
 from repro.assign import assign_design
 import numpy as np
@@ -152,6 +154,22 @@ class TestAssignmentConstructor:
         with pytest.raises(ValueError):
             assignment.net_slot[0] = 3
         assert assignment.slot_of(10) == 1
+
+    def test_pickles_and_deep_copies(self, fig5):
+        assignment = Assignment(fig5, FIG5_RANDOM_ORDER)
+        assignment.swap_slots(1, 2)
+        for clone in (pickle.loads(pickle.dumps(assignment)), copy.deepcopy(assignment)):
+            assert clone.order == assignment.order
+            assert clone.net_slot.tolist() == assignment.net_slot.tolist()
+            clone.swap_slots(1, 2)
+            assert clone.slot_of(clone.net_at(1)) == 1
+
+    def test_table_lookup_is_not_clipped(self):
+        """Only the constructor clips; a raw ``indices`` lookup past the
+        dense table's end still fails loudly."""
+        quadrant = quadrant_from_rows(GAPPED_ROWS)
+        with pytest.raises(IndexError):
+            quadrant_tables(quadrant).indices([5, 6, 7, 9, 10, 40])
 
 
 class TestLegality:
