@@ -9,6 +9,7 @@ mutates.  Slots are 1-based, left to right, matching the paper's
 from __future__ import annotations
 
 import abc
+from array import array
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -18,14 +19,14 @@ from ..package import Quadrant, quadrant_tables
 
 
 class Assignment:
-    """A bijection between a quadrant's nets and its finger slots: the net ids
-    in slot order and their inverse :attr:`net_slot`, which measurements read."""
+    """A bijection between a quadrant's nets and its finger slots: the net ids in
+    slot order and their inverse, int64 ``array`` items viewed as :attr:`net_slot`."""
 
     def __init__(self, quadrant: Quadrant, order: Sequence[int]) -> None:
         order = list(order)
         self.quadrant = quadrant
         self._tables = quadrant_tables(quadrant)
-        self._net_slot = self._tables.net_slots(order)
+        self._slots = array("q", self._tables.net_slots(order).tobytes())
         self._order: List[int] = order
 
     # -- queries -------------------------------------------------------------
@@ -40,7 +41,7 @@ class Assignment:
         """0-based slot of every net, indexed as in the quadrant's
         :class:`~repro.package.QuadrantTables`: a read-only int64 view that
         follows later :meth:`swap_slots` calls (copy it for a snapshot)."""
-        view = self._net_slot.view()
+        view = np.frombuffer(self._slots, dtype=np.int64)
         view.flags.writeable = False
         return view
 
@@ -51,7 +52,7 @@ class Assignment:
     def slot_of(self, net_id: int) -> int:
         """Finger slot (1-based) holding *net_id*."""
         try:
-            return int(self._net_slot[self._tables.index_by_id[net_id]]) + 1
+            return self._slots[self._tables.index_by_id[net_id]] + 1
         except KeyError:
             raise AssignmentError(f"net {net_id} not in assignment") from None
 
@@ -74,15 +75,15 @@ class Assignment:
         self._order[slot_a - 1] = net_b
         self._order[slot_b - 1] = net_a
         index_by_id = self._tables.index_by_id
-        self._net_slot[index_by_id[net_a]] = slot_b - 1
-        self._net_slot[index_by_id[net_b]] = slot_a - 1
+        self._slots[index_by_id[net_a]] = slot_b - 1
+        self._slots[index_by_id[net_b]] = slot_a - 1
 
     def copy(self) -> "Assignment":
         """An independent copy sharing the (immutable) quadrant."""
         clone = Assignment.__new__(Assignment)
         clone.quadrant = self.quadrant
         clone._tables = self._tables
-        clone._net_slot = self._net_slot.copy()
+        clone._slots = self._slots[:]
         clone._order = list(self._order)
         return clone
 

@@ -63,8 +63,7 @@ class Telemetry:
         """Record one event; ``t`` is seconds since this object's creation.
 
         With *since* (a ``perf_counter`` reading) it also carries ``seconds``
-        since then, read once the rest of the event is built, so a span
-        counts building its own ``span.end`` as its own time.
+        since then, read last: a span's ``span.end`` counts as its own time.
 
         Events emitted inside an active span (see :func:`repro.obs.spans.span`)
         are stamped with its id as ``span`` unless the caller supplies one.
