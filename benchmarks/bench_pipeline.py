@@ -26,8 +26,9 @@ the object pipeline end-to-end and exits non-zero otherwise (< 30 s).
 Registered with the perf ledger (``repro bench run --only pipeline``):
 ``ledger_metrics`` times the array path at 16,384 fingers, one
 ``evaluate`` of the 100,352-finger DFA assignment at the two grid sizes
-of the co-design benchmark's ``assign_evaluate`` workload, and one
-``assign`` of that design with each of the workload's three methods.
+of the co-design benchmark's ``assign_evaluate`` workload, one
+``assign`` of that design with each of the workload's three methods, and
+``build_design`` of that design.
 The first two start every repeat from an empty process-wide
 factorization memo, so they time cold factorizations, not memo hits.
 """
@@ -182,7 +183,18 @@ LEDGER_GATED = {
     f"array_ms_{LEDGER_COUNT}": "lower",
     f"evaluate_ms_{EVALUATE_COUNT}": "lower",
     f"assign_ms_{EVALUATE_COUNT}": "lower",
+    f"build_ms_{EVALUATE_COUNT}": "lower",
 }
+
+
+def _build_ms(spec) -> tuple:
+    """(median ms of ``build_design(spec)``, the last design built)."""
+    times = []
+    for _ in range(LEDGER_REPEATS):
+        start = time.perf_counter()
+        design = build_design(spec, seed=LEDGER_SEED)
+        times.append((time.perf_counter() - start) * 1000.0)
+    return round(float(np.median(times)), 3), design
 
 
 def _assign_ms(design) -> float:
@@ -220,9 +232,8 @@ def ledger_metrics() -> dict:
         start = time.perf_counter()
         density, drops = run_pipeline(design, config, maps, "array")
         times.append((time.perf_counter() - start) * 1000.0)
-    big = build_design(
-        CircuitSpec(name=f"pipeline{EVALUATE_COUNT}", finger_count=EVALUATE_COUNT),
-        seed=LEDGER_SEED,
+    build_ms, big = _build_ms(
+        CircuitSpec(name=f"pipeline{EVALUATE_COUNT}", finger_count=EVALUATE_COUNT)
     )
     return {
         f"array_ms_{LEDGER_COUNT}": round(float(np.median(times)), 3),
@@ -230,6 +241,7 @@ def ledger_metrics() -> dict:
         f"max_drop_{LEDGER_COUNT}": max(drops),
         f"evaluate_ms_{EVALUATE_COUNT}": _evaluate_ms(big),
         f"assign_ms_{EVALUATE_COUNT}": _assign_ms(big),
+        f"build_ms_{EVALUATE_COUNT}": build_ms,
     }
 
 

@@ -52,7 +52,7 @@ class Assignment:
     def slot_of(self, net_id: int) -> int:
         """Finger slot (1-based) holding *net_id*."""
         try:
-            return self._slots[self._tables.index_by_id[net_id]] + 1
+            return self._slots[self.quadrant.netlist.index_by_id[net_id]] + 1
         except KeyError:
             raise AssignmentError(f"net {net_id} not in assignment") from None
 
@@ -74,7 +74,7 @@ class Assignment:
         net_b = self.net_at(slot_b)
         self._order[slot_a - 1] = net_b
         self._order[slot_b - 1] = net_a
-        index_by_id = self._tables.index_by_id
+        index_by_id = self.quadrant.netlist.index_by_id
         self._slots[index_by_id[net_a]] = slot_b - 1
         self._slots[index_by_id[net_b]] = slot_a - 1
 

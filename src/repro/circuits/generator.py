@@ -16,12 +16,14 @@ from __future__ import annotations
 import random
 from typing import List, Optional
 
+import numpy as np
+
 from ..errors import CircuitSpecError
 from ..geometry import Side
 from ..package import (
+    NET_TYPES,
     BumpArray,
     FingerRow,
-    Net,
     NetList,
     NetType,
     PackageDesign,
@@ -32,6 +34,11 @@ from ..package import (
 from .spec import CircuitSpec
 
 _SIDES = (Side.BOTTOM, Side.RIGHT, Side.TOP, Side.LEFT)
+#: Name prefix of each net type, indexed by its column code.
+_PREFIX = tuple(
+    {NetType.SIGNAL: "N", NetType.POWER: "VDD", NetType.GROUND: "VSS"}[net_type]
+    for net_type in NET_TYPES
+)
 
 
 def trapezoid_rows(net_count: int, row_count: int) -> List[int]:
@@ -92,7 +99,8 @@ def build_design(spec: CircuitSpec, seed: Optional[int] = 0) -> PackageDesign:
     total = spec.finger_count
     supply_count = round(total * spec.supply_fraction)
     counts = quadrant_net_counts(spec)
-    power_set, ground_set = set(), set()
+    power, ground = NET_TYPES.index(NetType.POWER), NET_TYPES.index(NetType.GROUND)
+    types = np.full(total, NET_TYPES.index(NetType.SIGNAL), dtype=np.int8)
     supply_seen = 0
     offset = 0
     for quadrant_index, count in enumerate(counts):
@@ -100,39 +108,28 @@ def build_design(spec: CircuitSpec, seed: Optional[int] = 0) -> PackageDesign:
         if quadrant_index < supply_count % len(counts):
             share += 1
         share = min(share, count)
-        for local in sorted(rng.sample(range(count), share)):
-            if (supply_seen // 2) % 2 == 0:
-                power_set.add(offset + local)
-            else:
-                ground_set.add(offset + local)
-            supply_seen += 1
+        picked = offset + np.array(sorted(rng.sample(range(count), share)), np.int64)
+        pair = (supply_seen + np.arange(share)) // 2 % 2
+        types[picked] = np.where(pair == 0, power, ground)
+        supply_seen += share
         offset += count
 
+    # Ids run in ball order, row by row; every net gets its columns directly.
     quadrants = {}
     next_id = 0
     for side, count in zip(_SIDES, counts):
-        row_sizes = trapezoid_rows(count, min(spec.rows_per_quadrant, count))
-        nets = []
-        rows: List[List[int]] = []
-        for size in row_sizes:
-            row = []
-            for __ in range(size):
-                net_id = next_id
-                next_id += 1
-                if net_id in power_set:
-                    net_type = NetType.POWER
-                    name = f"VDD{net_id}"
-                elif net_id in ground_set:
-                    net_type = NetType.GROUND
-                    name = f"VSS{net_id}"
-                else:
-                    net_type = NetType.SIGNAL
-                    name = f"N{net_id}"
-                tier = rng.randrange(spec.tier_count) + 1 if spec.tier_count > 1 else 1
-                nets.append(Net(id=net_id, name=name, net_type=net_type, tier=tier))
-                row.append(net_id)
-            rows.append(row)
-        netlist = NetList(nets)
+        ids = np.arange(next_id, next_id + count)
+        codes = types[next_id:next_id + count]
+        names = [f"{_PREFIX[c]}{i}" for c, i in zip(codes.tolist(), ids.tolist())]
+        if spec.tier_count > 1:
+            tiers = [rng.randrange(spec.tier_count) + 1 for __ in range(count)]
+        else:
+            tiers = np.ones(count, dtype=np.int64)
+        netlist = NetList.from_columns(ids, names, codes, tiers)
+        rows = []
+        for size in trapezoid_rows(count, min(spec.rows_per_quadrant, count)):
+            rows.append(list(range(next_id, next_id + size)))
+            next_id += size
         bumps = BumpArray(rows, pitch=technology.bump_pitch)
         fingers = FingerRow(
             slot_count=count,

@@ -208,10 +208,7 @@ def fd_descent_plan(
         improved = False
         for side, quadrant in design:
             assignment = plans[side]
-            supply_ids = [
-                net.id for net in quadrant.netlist if net.net_type.is_supply
-            ]
-            for net_id in supply_ids:
+            for net_id in quadrant.supply_net_ids():
                 for step in (-1, 1):
                     slot = assignment.slot_of(net_id)
                     neighbour = slot + step

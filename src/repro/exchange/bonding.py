@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
+import numpy as np
+
 from ..assign import Assignment
 from ..errors import ExchangeError
 
@@ -45,9 +47,10 @@ def omega(tiers_in_finger_order: Sequence[int], psi: int) -> int:
 
 def omega_of_assignment(assignment: Assignment, psi: int) -> int:
     """``omega`` of one quadrant's assignment."""
-    quadrant = assignment.quadrant
-    tiers = [quadrant.net(net_id).tier for net_id in assignment.order]
-    return omega(tiers, psi)
+    net_tiers = assignment.quadrant.netlist.tiers
+    tiers = np.empty_like(net_tiers)
+    tiers[assignment.net_slot] = net_tiers
+    return omega(tiers.tolist(), psi)
 
 
 def omega_of_design(assignments: Dict, psi: int) -> int:

@@ -55,10 +55,9 @@ class MoveGenerator:
         """(side, net_id) pairs eligible for being picked as F_a."""
         candidates: List[Tuple[Side, int]] = []
         for side, quadrant in self.design:
-            for net in quadrant.netlist:
-                if self.power_only and not net.net_type.is_supply:
-                    continue
-                candidates.append((side, net.id))
+            netlist = quadrant.netlist
+            net_ids = netlist.supply_ids() if self.power_only else netlist.ids.tolist()
+            candidates.extend((side, net_id) for net_id in net_ids)
         return candidates
 
     def propose(self, rng: random.Random) -> Optional[SwapMove]:

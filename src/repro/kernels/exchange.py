@@ -48,6 +48,7 @@ and without a demand, and cross-checks kernel totals against
 
 from __future__ import annotations
 
+import gc
 import random
 from itertools import repeat
 from typing import Dict, List, Optional, Tuple
@@ -107,43 +108,53 @@ class ArrayExchangeKernel:
         self._gap_weight = self.ir_weights + self.ir_weights[:ring]
         self._gap_weight_array = int_array(self._gap_weight)
 
-        # -- flat state, one block per side in design ring order
-        self.sides: List[SideArrays] = []
-        run_base = 0
-        # one shared int object per slot, net and via index value
-        ints = list(range(max(design.quadrants[s].net_count for s in design.sides)))
-        self._ints = ints
-        for side in design.sides:
-            arrays = build_side_arrays(
-                design,
-                side,
-                baseline_assignments[side],
-                net_type,
-                split_networks,
-                track_all_rows,
-                run_base,
-                ints,
+        # -- flat state, one block per side in design ring order.  The young
+        # collections its thousands of tuples would trigger only traverse
+        # the large, cycle-free int lists: pause the collector meanwhile.
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            self.sides: List[SideArrays] = []
+            run_base = 0
+            # one shared int object per slot, net and via index value
+            ints = list(
+                range(max(design.quadrants[s].net_count for s in design.sides))
             )
-            run_base += sum(wr.run_count for wr in arrays.watched)
-            self.sides.append(arrays)
-            bad = set(arrays.tiers).difference(range(1, self.psi + 1))
-            if bad:
-                raise ExchangeError(f"tier {min(bad)} outside 1..{self.psi}")
-        self._total_runs = run_base
-        self._class_count = 2 if split_networks else 1
+            self._ints = ints
+            for side in design.sides:
+                arrays = build_side_arrays(
+                    design,
+                    side,
+                    baseline_assignments[side],
+                    net_type,
+                    split_networks,
+                    track_all_rows,
+                    run_base,
+                    ints,
+                )
+                run_base += sum(wr.run_count for wr in arrays.watched)
+                self.sides.append(arrays)
+                bad = set(arrays.tiers).difference(range(1, self.psi + 1))
+                if bad:
+                    raise ExchangeError(f"tier {min(bad)} outside 1..{self.psi}")
+            self._total_runs = run_base
+            self._class_count = 2 if split_networks else 1
 
-        # candidate pool for propose(), mirroring MoveGenerator exactly:
-        # (side, net) pairs in design order, supply-only for 2-D ICs
-        self._candidates: List[Tuple[int, int]] = []
-        for q, arrays in enumerate(self.sides):
-            supply = arrays.tables.type_nets[None].tolist()
-            nets = supply if power_only else range(arrays.slot_count)
-            self._candidates.extend(zip(repeat(q), map(ints.__getitem__, nets)))
+            # candidate pool for propose(), mirroring MoveGenerator exactly:
+            # (side, net) pairs in design order, supply-only for 2-D ICs
+            self._candidates: List[Tuple[int, int]] = []
+            for q, arrays in enumerate(self.sides):
+                supply = arrays.tables.type_nets[None].tolist()
+                nets = supply if power_only else range(arrays.slot_count)
+                self._candidates.extend(zip(repeat(q), map(ints.__getitem__, nets)))
 
-        #: Observability counter (read by the exchanger's ``kernel.stats``
-        #: telemetry event): total ``_swap`` calls.
-        self.swap_count = 0
-        self._rebuild(at_baseline=True)
+            #: Observability counter (read by the exchanger's ``kernel.stats``
+            #: telemetry event): total ``_swap`` calls.
+            self.swap_count = 0
+            self._rebuild(at_baseline=True)
+        finally:
+            if enabled:
+                gc.enable()
         # the baseline's weighted gap sum normalizes the IR term to 1.0
         self._ir_initial = sum(self._sumsq)
         if not self._ir_initial:

@@ -159,7 +159,7 @@ def build_side_arrays(
         quadrant=quadrant,
         tables=tables,
         rows=rows,
-        tiers=[net.tier for net in quadrant.netlist],
+        tiers=quadrant.netlist.tiers.tolist(),
         supply_class=supply_class.tolist(),
         net_run_base=list(map(row_base.__getitem__, rows)),
         via_index=list(map(ints.__getitem__, tables.via_index.tolist())),

@@ -3,7 +3,7 @@
 from .bump import BumpArray, BumpBall
 from .design import PackageDesign, PackageTechnology
 from .finger import FingerRow
-from .net import Net, NetList, NetType
+from .net import NET_TYPES, Net, NetList, NetType
 from .quadrant import Quadrant, quadrant_from_rows
 from .stacking import StackingConfig, assign_tiers_round_robin, bonding_wire_crossings
 from .tables import QuadrantTables, quadrant_tables
@@ -16,6 +16,7 @@ __all__ = [
     "check_design",
     "BumpBall",
     "FingerRow",
+    "NET_TYPES",
     "Net",
     "NetList",
     "NetType",

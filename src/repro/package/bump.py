@@ -11,8 +11,13 @@ cut-lines of Fig. 2).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate, chain
 from typing import Dict, List, Sequence
+
+import numpy as np
 
 from ..errors import PackageModelError
 from ..geometry import Point
@@ -39,7 +44,8 @@ class BumpBall:
 
 
 class BumpArray:
-    """The bump balls of one quadrant, organized by row.
+    """The bump balls of one quadrant, organized by row: rows of net ids, no
+    object per ball (:meth:`ball_of` builds a :class:`BumpBall` on demand).
 
     Parameters
     ----------
@@ -58,17 +64,22 @@ class BumpArray:
             raise PackageModelError("bump array needs at least one row")
         self._rows: List[List[int]] = [list(row) for row in rows]
         self.pitch = float(pitch)
-        seen: Dict[int, BumpBall] = {}
         for row_index, row in enumerate(self._rows, start=1):
             if not row:
                 raise PackageModelError(f"bump row {row_index} is empty")
-            for col_index, net_id in enumerate(row, start=1):
-                if net_id in seen:
-                    raise PackageModelError(
-                        f"net {net_id} owns more than one bump ball"
-                    )
-                seen[net_id] = BumpBall(net_id=net_id, col=col_index, row=row_index)
-        self._ball_of = seen
+        #: flat index of each row's first ball, plus the ball count
+        self._starts = [0, *accumulate(map(len, self._rows))]
+        net_ids = np.fromiter(chain.from_iterable(self._rows), np.int64, self._starts[-1])
+        self._sorted_ids = np.sort(net_ids)
+        repeated = self._sorted_ids[1:][self._sorted_ids[1:] == self._sorted_ids[:-1]]
+        if len(repeated):
+            raise PackageModelError(f"net {repeated[0]} owns more than one bump ball")
+
+    @cached_property
+    def _position(self) -> Dict[int, int]:
+        """Flat row-major ball index by net id (built on first lookup)."""
+        net_ids = chain.from_iterable(self._rows)
+        return dict(zip(net_ids, range(self._starts[-1])))
 
     # -- structure ---------------------------------------------------------
 
@@ -80,7 +91,7 @@ class BumpArray:
     @property
     def net_count(self) -> int:
         """Total number of balls (== number of nets in the quadrant)."""
-        return len(self._ball_of)
+        return self._starts[-1]
 
     def row_nets(self, row: int) -> List[int]:
         """Net ids of row *row* (1-based), left to right."""
@@ -93,11 +104,13 @@ class BumpArray:
         return len(self._rows[row - 1])
 
     def ball_of(self, net_id: int) -> BumpBall:
-        """The bump ball owned by *net_id*."""
+        """The bump ball owned by *net_id* (a new value on every call)."""
         try:
-            return self._ball_of[net_id]
+            flat = self._position[net_id]
         except KeyError:
             raise PackageModelError(f"net {net_id} has no bump ball") from None
+        row = bisect_right(self._starts, flat)
+        return BumpBall(net_id=net_id, col=flat - self._starts[row - 1] + 1, row=row)
 
     def rows_top_down(self) -> List[int]:
         """Row indices from the highest line (nearest fingers) outwards.
@@ -156,10 +169,10 @@ class BumpArray:
         ]
 
     def validate_against(self, net_ids: Sequence[int]) -> None:
-        """Check that the array covers exactly the given nets."""
-        expected = set(net_ids)
-        actual = set(self._ball_of)
-        if expected != actual:
+        """Check that the array covers exactly the given (distinct) nets."""
+        if not np.array_equal(np.sort(np.asarray(net_ids, np.int64)), self._sorted_ids):
+            expected = set(np.asarray(net_ids).tolist())
+            actual = set(self._sorted_ids.tolist())
             missing = sorted(expected - actual)
             extra = sorted(actual - expected)
             raise PackageModelError(

@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Tuple
 
+import numpy as np
+
 from ..errors import PackageModelError
 from ..geometry import Side
 from .net import Net
@@ -76,12 +78,14 @@ class PackageDesign:
     def _validate_tiers(self) -> None:
         psi = self.stacking.tier_count
         for quadrant in self.quadrants.values():
-            for net in quadrant.netlist:
-                if not (1 <= net.tier <= psi):
-                    raise PackageModelError(
-                        f"net {net.name} on tier {net.tier}, "
-                        f"but the stack has {psi} tier(s)"
-                    )
+            tiers = quadrant.netlist.tiers
+            outside = np.flatnonzero((tiers < 1) | (tiers > psi))
+            if len(outside):
+                k = outside[0]
+                raise PackageModelError(
+                    f"net {quadrant.netlist.names[k]} on tier {tiers[k]}, "
+                    f"but the stack has {psi} tier(s)"
+                )
 
     # -- iteration helpers ---------------------------------------------------
 

@@ -16,7 +16,7 @@ from ..errors import PackageModelError
 from ..geometry import Side
 from .bump import BumpArray
 from .finger import FingerRow
-from .net import Net, NetList
+from .net import NET_TYPES, Net, NetList, NetType
 
 
 class Quadrant:
@@ -29,7 +29,7 @@ class Quadrant:
         fingers: Optional[FingerRow] = None,
         side: Side = Side.BOTTOM,
     ) -> None:
-        bumps.validate_against([net.id for net in netlist])
+        bumps.validate_against(netlist.ids)
         if fingers is None:
             fingers = FingerRow(slot_count=len(netlist))
         if fingers.slot_count != len(netlist):
@@ -113,22 +113,14 @@ def quadrant_from_rows(
     tiers:
         Optional mapping ``net_id -> tier`` for stacking-IC designs.
     """
-    from .net import NetType
-
     supply = set(supply_ids)
     tiers = tiers or {}
-    nets = []
-    for row in rows:
-        for net_id in row:
-            net_type = NetType.POWER if net_id in supply else NetType.SIGNAL
-            nets.append(
-                Net(
-                    id=net_id,
-                    name=f"N{net_id}",
-                    net_type=net_type,
-                    tier=tiers.get(net_id, 1),
-                )
-            )
-    netlist = NetList(nets)
+    ids = [net_id for row in rows for net_id in row]
+    netlist = NetList.from_columns(
+        ids,
+        [f"N{net_id}" for net_id in ids],
+        [NET_TYPES.index(NetType.POWER) if net_id in supply else 0 for net_id in ids],
+        [tiers.get(net_id, 1) for net_id in ids],
+    )
     bumps = BumpArray(rows, pitch=pitch)
     return Quadrant(netlist, bumps, fingers=fingers, side=side)

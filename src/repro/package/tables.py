@@ -11,13 +11,12 @@ assignment.  :func:`quadrant_tables` answers them once as flat NumPy arrays
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from ..errors import AssignmentError
-from .net import NetType
+from .net import NET_TYPES, NetType
 from .quadrant import Quadrant
 
 #: A dense id -> index gather table while the id span is at most this many
@@ -53,16 +52,14 @@ class QuadrantTables:
     via_ball: np.ndarray
 
     def indices(self, ids) -> np.ndarray:
-        """Net index of every net id in *ids*."""
+        """Net index of every net id in *ids*; an id below the smallest net id
+        raises :class:`IndexError`, as one past the largest does."""
         ids = np.asarray(ids, dtype=np.int64)
+        if ids.size and ids.min() < self.id_base:
+            raise IndexError(f"net id {ids.min()} is below the quadrant's ids")
         if self.index_of_id is not None:
             return self.index_of_id[ids - self.id_base]
         return self.id_sorter[np.searchsorted(self.net_ids, ids, sorter=self.id_sorter)]
-
-    @cached_property
-    def index_by_id(self) -> Dict[int, int]:
-        """Net index by net id, for scalar lookups (built on first use)."""
-        return dict(zip(self.net_ids.tolist(), range(len(self.net_ids))))
 
     def net_slots(self, order: Sequence[int]) -> np.ndarray:
         """0-based slot of every net index under a slot-ordered id list (the
@@ -108,7 +105,7 @@ def quadrant_tables(quadrant: Quadrant) -> QuadrantTables:
 def _build(quadrant: Quadrant) -> QuadrantTables:
     netlist = quadrant.netlist
     count = len(netlist)
-    net_ids = np.fromiter((net.id for net in netlist), dtype=np.int64, count=count)
+    net_ids = netlist.ids
     id_base = int(net_ids.min())
     span = int(net_ids.max()) - id_base + 1
     index_of_id = id_sorter = None
@@ -117,11 +114,10 @@ def _build(quadrant: Quadrant) -> QuadrantTables:
         index_of_id[net_ids - id_base] = np.arange(count, dtype=np.int64)
     else:
         id_sorter = np.argsort(net_ids, kind="stable")
-    code = {net_type: k for k, net_type in enumerate(NetType)}
-    codes = np.fromiter((code[net.net_type] for net in netlist), np.int8, count)
+    codes = netlist.types
     supply = (NetType.POWER, NetType.GROUND)
-    type_nets = {t: np.flatnonzero(codes == code[t]) for t in supply}
-    type_nets[None] = np.flatnonzero(codes != code[NetType.SIGNAL])
+    type_nets = {t: np.flatnonzero(codes == NET_TYPES.index(t)) for t in supply}
+    type_nets[None] = np.flatnonzero(codes != NET_TYPES.index(NetType.SIGNAL))
     fingers = quadrant.fingers  # one slot per net (Quadrant checks it)
     tables = QuadrantTables(
         net_ids=net_ids,

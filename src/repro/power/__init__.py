@@ -14,13 +14,12 @@ from .floorplan import Floorplan, Module, example_soc_floorplan
 from .grid import PowerGridConfig
 from .irdrop import IRDropAnalyzer
 from .pads import pad_nodes_for_grid, supply_pad_fractions
-from .spice import DenseSolver, export_spice
+from .spice import export_spice
 
 __all__ = [
     "FDSolver",
     "Floorplan",
     "Module",
-    "DenseSolver",
     "PackagingComparison",
     "area_pad_nodes",
     "compare_packaging",

@@ -1,15 +1,12 @@
-"""SPICE-deck export and dense cross-validation of the power grid.
+"""SPICE-deck export of the power grid.
 
 The compact model's authors validate against SPICE ("the results are shown
 to be close to the results from SPICE simulation", paper section 2.4).
-This module supports the same workflow for our grid:
-
-* :func:`export_spice` writes the FD grid as a plain resistor/current-source
-  netlist any SPICE engine can run — external validation without trusting
-  our solver;
-* :class:`DenseSolver` re-solves the identical system with a dense
-  numpy ``linalg.solve`` — an in-repo second opinion that
-  ``tests/test_spice.py`` checks agrees with the sparse solver to 1e-10.
+:func:`export_spice` supports the same workflow for our grid: it writes the
+FD grid as a plain resistor/current-source netlist any SPICE engine can
+run — external validation without trusting our solver.  The in-repo second
+opinion is ``FDSolver._solve_object``, the reference assembly that
+``tests/test_spice.py`` checks the factorized solve against to 1e-10.
 """
 
 from __future__ import annotations
@@ -20,7 +17,6 @@ from typing import Iterable, List, Optional, Tuple, Union
 import numpy as np
 
 from ..errors import PowerModelError
-from .fdsolver import IRDropResult
 from .grid import PowerGridConfig
 
 
@@ -87,64 +83,3 @@ def export_spice(
         Path(path).write_text(text)
     return text
 
-
-class DenseSolver:
-    """Dense (numpy) reference solver for small grids.
-
-    Builds the same nodal system as :class:`repro.power.FDSolver` but
-    solves it with ``numpy.linalg.solve`` — O(n^3), so keep ``size`` small
-    (<= 24 is instant).  Exists purely to cross-validate the sparse path.
-    """
-
-    def __init__(self, config: PowerGridConfig, current_map=None) -> None:
-        if config.size > 40:
-            raise PowerModelError(
-                "DenseSolver is a validation tool; use FDSolver beyond 40x40"
-            )
-        self.config = config
-        if current_map is not None:
-            current_map = np.asarray(current_map, dtype=float)
-            if current_map.shape != (config.size, config.size):
-                raise PowerModelError("current map shape mismatch")
-        self.current_map = current_map
-
-    def solve(self, pad_nodes: Iterable[Tuple[int, int]]) -> IRDropResult:
-        config = self.config
-        g = config.size
-        pads = sorted(set(tuple(node) for node in pad_nodes))
-        if not pads:
-            raise PowerModelError("at least one pad node is required")
-        pad_set = set(pads)
-        unknown = [
-            (x, y) for x in range(g) for y in range(g) if (x, y) not in pad_set
-        ]
-        index = {node: i for i, node in enumerate(unknown)}
-        n = len(unknown)
-        gx, gy = 1.0 / config.r_sx, 1.0 / config.r_sy
-        matrix = np.zeros((n, n))
-        rhs = np.empty(n)
-        for (x, y), i in index.items():
-            draw = (
-                config.j0 if self.current_map is None else self.current_map[x, y]
-            )
-            rhs[i] = -draw
-            for dx, dy, conductance in (
-                (1, 0, gx),
-                (-1, 0, gx),
-                (0, 1, gy),
-                (0, -1, gy),
-            ):
-                nx, ny = x + dx, y + dy
-                if not (0 <= nx < g and 0 <= ny < g):
-                    continue
-                matrix[i, i] += conductance
-                if (nx, ny) in pad_set:
-                    rhs[i] += conductance * config.vdd
-                else:
-                    matrix[i, index[(nx, ny)]] -= conductance
-        voltage = np.full((g, g), config.vdd)
-        if n:
-            solution = np.linalg.solve(matrix, rhs)
-            for (x, y), i in index.items():
-                voltage[x, y] = solution[i]
-        return IRDropResult(config=config, voltage=voltage, pad_nodes=pads)

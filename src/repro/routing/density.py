@@ -92,9 +92,9 @@ def run_partition(
     via_nets = quadrant.row_nets(row)
     via_slots = [assignment.slot_of(net) for net in via_nets]
     passing_slots = sorted(
-        assignment.slot_of(net.id)
-        for net in quadrant.netlist
-        if quadrant.ball_row(net.id) < row
+        assignment.slot_of(net_id)
+        for net_id in quadrant.netlist.ids.tolist()
+        if quadrant.ball_row(net_id) < row
     )
     # A run holds the passing wires between the rightmost earlier via and its own.
     runs: List[Tuple[int, int]] = []

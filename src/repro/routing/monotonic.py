@@ -73,18 +73,17 @@ class MonotonicRouter:
         left_bound, right_bound = self._bounds(assignment)
 
         # crossings[net_id] collects (y, x) waypoints, top line first.
-        crossings: Dict[int, List[Point]] = {net.id: [] for net in quadrant.netlist}
+        net_ids = quadrant.netlist.ids.tolist()
+        crossings: Dict[int, List[Point]] = {net_id: [] for net_id in net_ids}
 
         for row in range(bumps.row_count, 1, -1):
             candidates = bumps.via_candidate_xs(row)
             via_nets = quadrant.row_nets(row)
             via_slots = [assignment.slot_of(net) for net in via_nets]
             passing = sorted(
-                (
-                    (assignment.slot_of(net.id), net.id)
-                    for net in quadrant.netlist
-                    if quadrant.ball_row(net.id) < row
-                ),
+                (assignment.slot_of(net_id), net_id)
+                for net_id in net_ids
+                if quadrant.ball_row(net_id) < row
             )
             line_y = bumps.row_y(row)
             self._place_line(
@@ -98,21 +97,21 @@ class MonotonicRouter:
             )
 
         result = RoutingResult(density=density_map(assignment, validate=False))
-        for net in quadrant.netlist:
-            finger = assignment.finger_position(net.id)
-            via = vias[net.id].position
-            ball = bumps.ball_position(net.id)
-            waypoints = [finger] + crossings[net.id] + [via]
+        for net_id in net_ids:
+            finger = assignment.finger_position(net_id)
+            via = vias[net_id].position
+            ball = bumps.ball_position(net_id)
+            waypoints = [finger] + crossings[net_id] + [via]
             routed = RoutedNet(
-                net_id=net.id,
+                net_id=net_id,
                 finger=finger,
                 via=via,
                 ball=ball,
                 layer1_points=waypoints,
             )
             if not routed.is_monotonic():
-                raise RoutingError(f"router produced a detour for net {net.id}")
-            result.nets[net.id] = routed
+                raise RoutingError(f"router produced a detour for net {net_id}")
+            result.nets[net_id] = routed
         self._verify_order_preserved(result, assignment)
         return result
 
@@ -188,14 +187,12 @@ class MonotonicRouter:
         for row in range(quadrant.row_count, 1, -1):
             line_y = quadrant.bumps.row_y(row)
             on_line = []
-            for net in quadrant.netlist:
-                if quadrant.ball_row(net.id) < row:
-                    routed = result.nets[net.id]
+            for net_id in quadrant.netlist.ids.tolist():
+                if quadrant.ball_row(net_id) < row:
+                    routed = result.nets[net_id]
                     for point in routed.layer1_points[1:-1]:
                         if point.y == line_y:
-                            on_line.append(
-                                (point.x, assignment.slot_of(net.id))
-                            )
+                            on_line.append((point.x, assignment.slot_of(net_id)))
                             break
             on_line.sort()
             slots = [slot for __, slot in on_line]

@@ -138,9 +138,9 @@ class ViaAssignment:
                 assignment.slot_of(net_id) for net_id in quadrant.row_nets(row)
             ]
             passing = sorted(
-                assignment.slot_of(net.id)
-                for net in quadrant.netlist
-                if quadrant.ball_row(net.id) < row
+                assignment.slot_of(net_id)
+                for net_id in quadrant.netlist.ids.tolist()
+                if quadrant.ball_row(net_id) < row
             )
             remaining = passing
             for index, via_slot in enumerate(via_slots):

@@ -31,11 +31,11 @@ def plan_vias(assignment: Assignment) -> Dict[int, Via]:
     """Plan one via per net at its ball's bottom-left candidate site."""
     quadrant = assignment.quadrant
     vias: Dict[int, Via] = {}
-    for net in quadrant.netlist:
-        ball = quadrant.bumps.ball_of(net.id)
-        vias[net.id] = Via(
-            net_id=net.id,
-            position=quadrant.bumps.via_position(net.id),
+    for net_id in quadrant.netlist.ids.tolist():
+        ball = quadrant.bumps.ball_of(net_id)
+        vias[net_id] = Via(
+            net_id=net_id,
+            position=quadrant.bumps.via_position(net_id),
             row=ball.row,
             candidate_index=ball.col - 1,
         )
@@ -66,8 +66,8 @@ def via_capacity_check(assignment: Assignment) -> None:
     """Ensure no two nets share a via candidate site (<= 1 via per site)."""
     quadrant = assignment.quadrant
     used = set()
-    for net in quadrant.netlist:
-        ball = quadrant.bumps.ball_of(net.id)
+    for net_id in quadrant.netlist.ids.tolist():
+        ball = quadrant.bumps.ball_of(net_id)
         key = (ball.row, ball.col - 1)
         if key in used:
             raise RoutingError(f"via candidate {key} used twice")

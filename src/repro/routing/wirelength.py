@@ -33,10 +33,8 @@ def net_flyline_length(assignment: Assignment, net_id: int) -> float:
 
 def total_flyline_length(assignment: Assignment) -> float:
     """Total flyline wirelength of a quadrant assignment (Table 2 metric)."""
-    return sum(
-        net_flyline_length(assignment, net.id)
-        for net in assignment.quadrant.netlist
-    )
+    net_ids = assignment.quadrant.netlist.ids.tolist()
+    return sum(net_flyline_length(assignment, net_id) for net_id in net_ids)
 
 
 def total_flyline_length_of_design(assignments: Dict) -> float:
@@ -52,9 +50,7 @@ def wirelength_by_row(assignment: Assignment) -> Dict[int, float]:
     """Flyline wirelength aggregated per bump row ``{row: length}``."""
     quadrant = assignment.quadrant
     per_row: Dict[int, float] = {}
-    for net in quadrant.netlist:
-        row = quadrant.ball_row(net.id)
-        per_row[row] = per_row.get(row, 0.0) + net_flyline_length(
-            assignment, net.id
-        )
+    for net_id in quadrant.netlist.ids.tolist():
+        row = quadrant.ball_row(net_id)
+        per_row[row] = per_row.get(row, 0.0) + net_flyline_length(assignment, net_id)
     return per_row

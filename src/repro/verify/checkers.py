@@ -61,7 +61,7 @@ def check_design(design, report: Optional[VerificationReport] = None) -> Verific
     psi = design.stacking.tier_count
     seen_ids: Dict[int, str] = {}
     for side, quadrant in design:
-        ids = [net.id for net in quadrant.netlist]
+        ids = quadrant.netlist.ids.tolist()
         if len(set(ids)) != len(ids):
             report.error(
                 "design.duplicate-net",
@@ -152,7 +152,7 @@ def check_assignments(
 
     for side, quadrant in design:
         assignment = assignments[side]
-        expected = set(net.id for net in quadrant.netlist)
+        expected = set(quadrant.netlist.ids.tolist())
         order = assignment.order
         if len(order) != len(expected) or set(order) != expected:
             report.error(
@@ -220,13 +220,8 @@ def _check_fastcost(
     """The kernel's incremental Eq.-3 cost against the from-scratch model."""
     from ..exchange import ExchangeCost
     from ..kernels import ArrayExchangeKernel
-    from ..package import NetType
 
-    if not any(
-        net.net_type in (NetType.POWER, NetType.GROUND)
-        for __, quadrant in design
-        for net in quadrant.netlist
-    ):
+    if not any(quadrant.supply_net_ids() for __, quadrant in design):
         # No supply nets: Eq. 3 has no IR term to normalize against, so
         # there is no incremental cost to cross-check.  Not a violation.
         report.info(

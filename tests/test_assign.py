@@ -171,6 +171,15 @@ class TestAssignmentConstructor:
         with pytest.raises(IndexError):
             quadrant_tables(quadrant).indices([5, 6, 7, 9, 10, 40])
 
+    @pytest.mark.parametrize(
+        "rows", [GAPPED_ROWS, [[5, 6, 700], [900]]], ids=["dense", "sparse"]
+    )
+    def test_table_lookup_below_the_smallest_id_raises(self, rows):
+        """An id below the smallest net id must not wrap round to another
+        net (id 4 used to find net 11 in the dense table)."""
+        with pytest.raises(IndexError):
+            quadrant_tables(quadrant_from_rows(rows)).indices([4])
+
 
 class TestLegality:
     def test_paper_orders_are_legal(self, fig5):

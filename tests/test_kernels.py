@@ -504,8 +504,11 @@ class TestPolishScreen:
     def test_out_of_range_tier_rejected(self, tiers):
         design = circuit_design(1, tiers)
         baseline = assign_design(DFAAssigner(), design)
-        net = next(iter(design.quadrants[design.sides[0]].netlist))
-        object.__setattr__(net, "tier", tiers + 1)
+        # corrupt the tier column behind the netlist's validation
+        netlist = design.quadrants[design.sides[0]].netlist
+        corrupted = netlist.tiers.copy()
+        corrupted[0] = tiers + 1
+        netlist.tiers = corrupted
         with pytest.raises(ExchangeError, match=f"outside 1..{tiers}"):
             ArrayExchangeKernel(design, baseline)
 

@@ -143,14 +143,16 @@ def test_compare_absolute_baseline_pass_and_fail(bench_dir, tmp_path):
 def test_synthetic_25pct_slowdown_fails_a_20pct_gate(bench_dir, tmp_path):
     history = tmp_path / "hist.jsonl"
     run_ledger(bench_dir, history)
-    base_rev = load_history(history)[0]["git_rev"]
+    # Both records carry fake revisions, so the test does not depend on
+    # running inside a git checkout (outside one the recorded rev is empty).
+    base = load_history(history)[0]
+    base_rev = base["git_rev"] = "a" * 40
     # Re-record the bench 25% slower (and 25% worse) under a fake new rev.
-    slow = json.loads(json.dumps(load_history(history)[0]))
+    slow = json.loads(json.dumps(base))
     slow["git_rev"] = "f" * 40
     slow["metrics"]["elapsed_ms"] *= 1.25
     slow["metrics"]["quality"] *= 0.75
-    with history.open("a") as fh:
-        fh.write(json.dumps(slow) + "\n")
+    history.write_text("".join(json.dumps(r) + "\n" for r in (base, slow)))
 
     result = compare_ledger(history, against=base_rev, gate_pct=20.0)
     assert len(result["failures"]) == 2

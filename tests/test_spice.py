@@ -1,11 +1,11 @@
-"""Tests for SPICE export and the dense cross-validation solver."""
+"""Tests for SPICE export and the reference cross-validation of the FD solver."""
 
 import numpy as np
 import pytest
 
 from repro.errors import PowerModelError
 from repro.power import FDSolver, PowerGridConfig
-from repro.power.spice import DenseSolver, export_spice
+from repro.power.spice import export_spice
 
 
 class TestExport:
@@ -48,13 +48,16 @@ class TestExport:
 
 
 class TestDenseCrossValidation:
+    """The factorized solve against ``FDSolver._solve_object``, the reference
+    that assembles the same nodal system in a Python loop."""
+
     def test_matches_sparse_solver_uniform(self):
         config = PowerGridConfig(size=12, j0=2e-5)
         pads = [(0, 0), (11, 5), (3, 11)]
         sparse = FDSolver(config).factorize(pads).solve()
-        dense = DenseSolver(config).solve(pads)
-        assert np.allclose(sparse.voltage, dense.voltage, atol=1e-10)
-        assert sparse.max_drop == pytest.approx(dense.max_drop, abs=1e-12)
+        reference = FDSolver(config)._solve_object(pads)
+        assert np.allclose(sparse.voltage, reference.voltage, atol=1e-10)
+        assert sparse.max_drop == pytest.approx(reference.max_drop, abs=1e-12)
 
     def test_matches_sparse_solver_hotspot(self):
         config = PowerGridConfig(size=10)
@@ -62,15 +65,19 @@ class TestDenseCrossValidation:
         current[6:9, 6:9] = 2e-4
         pads = [(0, 0), (9, 9)]
         sparse = FDSolver(config, current_map=current).factorize(pads).solve()
-        dense = DenseSolver(config, current_map=current).solve(pads)
-        assert np.allclose(sparse.voltage, dense.voltage, atol=1e-10)
+        reference = FDSolver(config, current_map=current)._solve_object(pads)
+        assert np.allclose(sparse.voltage, reference.voltage, atol=1e-10)
 
     def test_size_guard(self):
+        """A pad outside the grid's size, or no pad at all, is refused."""
+        solver = FDSolver(PowerGridConfig(size=8))
         with pytest.raises(PowerModelError):
-            DenseSolver(PowerGridConfig(size=64))
+            solver._solve_object([(8, 0)])
+        with pytest.raises(PowerModelError):
+            solver._solve_object([])
 
     def test_all_pads(self):
         config = PowerGridConfig(size=3)
         nodes = [(x, y) for x in range(3) for y in range(3)]
-        result = DenseSolver(config).solve(nodes)
+        result = FDSolver(config)._solve_object(nodes)
         assert result.max_drop == pytest.approx(0.0)
