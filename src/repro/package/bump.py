@@ -11,11 +11,10 @@ cut-lines of Fig. 2).
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain
-from typing import Dict, List, Sequence
+from itertools import chain
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -67,19 +66,22 @@ class BumpArray:
         for row_index, row in enumerate(self._rows, start=1):
             if not row:
                 raise PackageModelError(f"bump row {row_index} is empty")
-        #: flat index of each row's first ball, plus the ball count
-        self._starts = [0, *accumulate(map(len, self._rows))]
-        net_ids = np.fromiter(chain.from_iterable(self._rows), np.int64, self._starts[-1])
+        self._count = sum(map(len, self._rows))
+        net_ids = np.fromiter(chain.from_iterable(self._rows), np.int64, self._count)
         self._sorted_ids = np.sort(net_ids)
         repeated = self._sorted_ids[1:][self._sorted_ids[1:] == self._sorted_ids[:-1]]
         if len(repeated):
             raise PackageModelError(f"net {repeated[0]} owns more than one bump ball")
 
     @cached_property
-    def _position(self) -> Dict[int, int]:
-        """Flat row-major ball index by net id (built on first lookup)."""
-        net_ids = chain.from_iterable(self._rows)
-        return dict(zip(net_ids, range(self._starts[-1])))
+    def _row_col(self) -> Tuple[Dict[int, int], Dict[int, int]]:
+        """Ball row and ball column by net id (built on first lookup)."""
+        row_of: Dict[int, int] = {}
+        col_of: Dict[int, int] = {}
+        for row_index, row in enumerate(self._rows, start=1):
+            row_of.update(dict.fromkeys(row, row_index))
+            col_of.update(zip(row, range(1, len(row) + 1)))
+        return row_of, col_of
 
     # -- structure ---------------------------------------------------------
 
@@ -91,7 +93,7 @@ class BumpArray:
     @property
     def net_count(self) -> int:
         """Total number of balls (== number of nets in the quadrant)."""
-        return self._starts[-1]
+        return self._count
 
     def row_nets(self, row: int) -> List[int]:
         """Net ids of row *row* (1-based), left to right."""
@@ -105,12 +107,15 @@ class BumpArray:
 
     def ball_of(self, net_id: int) -> BumpBall:
         """The bump ball owned by *net_id* (a new value on every call)."""
+        row = self.row_of(net_id)  # raises for a net without a ball
+        return BumpBall(net_id=net_id, col=self._row_col[1][net_id], row=row)
+
+    def row_of(self, net_id: int) -> int:
+        """Row of the ball owned by *net_id* (``ball_of(net_id).row``)."""
         try:
-            flat = self._position[net_id]
+            return self._row_col[0][net_id]
         except KeyError:
             raise PackageModelError(f"net {net_id} has no bump ball") from None
-        row = bisect_right(self._starts, flat)
-        return BumpBall(net_id=net_id, col=flat - self._starts[row - 1] + 1, row=row)
 
     def rows_top_down(self) -> List[int]:
         """Row indices from the highest line (nearest fingers) outwards.
@@ -139,10 +144,9 @@ class BumpArray:
         Each row is centred on x = 0, so the quadrant trapezoid is symmetric
         about the vertical axis through the middle of the finger row.
         """
-        ball = self.ball_of(net_id)
-        row_size = self.row_size(ball.row)
-        x = (ball.col - (row_size + 1) / 2.0) * self.pitch
-        return Point(x, self.row_y(ball.row))
+        row, col = self.row_of(net_id), self._row_col[1][net_id]
+        x = (col - (self.row_size(row) + 1) / 2.0) * self.pitch
+        return Point(x, self.row_y(row))
 
     def via_position(self, net_id: int) -> Point:
         """Physical location of the net's via: the ball's bottom-left corner.

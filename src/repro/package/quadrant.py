@@ -57,7 +57,7 @@ class Quadrant:
 
     def ball_row(self, net_id: int) -> int:
         """Bump-row index (1 = outermost) of the net's ball."""
-        return self.bumps.ball_of(net_id).row
+        return self.bumps.row_of(net_id)
 
     def ball_col(self, net_id: int) -> int:
         """Bump-column index within its row of the net's ball."""

@@ -14,6 +14,7 @@ and never raises on a finding; reacting is the policy layer's job.
 from __future__ import annotations
 
 import math
+from itertools import chain
 from typing import Dict, Mapping, Optional
 
 from ..errors import ReproError
@@ -85,23 +86,24 @@ def check_design(design, report: Optional[VerificationReport] = None) -> Verific
                 f"for {quadrant.net_count} nets",
                 side=side.value,
             )
-        for net in quadrant.netlist:
-            if not (1 <= net.tier <= psi):
+        rows = range(1, quadrant.row_count + 1)
+        balls = set(chain.from_iterable(map(quadrant.row_nets, rows)))
+        netlist = quadrant.netlist
+        for net_id, name, tier in zip(ids, netlist.names, netlist.tiers.tolist()):
+            if not (1 <= tier <= psi):
                 report.error(
                     "design.tier-range",
-                    f"{side.value}: net {net.name} on tier {net.tier}, "
+                    f"{side.value}: net {name} on tier {tier}, "
                     f"stack has {psi} tier(s)",
                     side=side.value,
-                    net=net.id,
+                    net=net_id,
                 )
-            try:
-                quadrant.bumps.ball_of(net.id)
-            except ReproError:
+            if net_id not in balls:
                 report.error(
                     "design.ball-orphan",
-                    f"{side.value}: net {net.name} has no bump ball",
+                    f"{side.value}: net {name} has no bump ball",
                     side=side.value,
-                    net=net.id,
+                    net=net_id,
                 )
     return report
 
