@@ -1,6 +1,6 @@
 """Finger/pad exchange: SA engine, Eq.-3 cost, ID tracking and bonding metric."""
 
-from .annealer import SAParams, SAStats, SimulatedAnnealer
+from .annealer import SAParams, SAStats, SimulatedAnnealer, advance
 from .checkpoint import SACheckpointer, SimulatedCrash
 from .bonding import (
     bonding_improvement,
@@ -14,7 +14,6 @@ from .exchanger import ExchangeResult, FingerPadExchanger
 from .greedy import GreedyExchanger
 from .moves import MoveGenerator, SwapMove
 from .sections import DesignSectionTracker, SectionTracker, interval_numbers
-from .tempering import initial_chain_state, run_segment, swap_accept
 
 __all__ = [
     "CostWeights",
@@ -31,12 +30,10 @@ __all__ = [
     "SimulatedAnnealer",
     "SimulatedCrash",
     "SwapMove",
+    "advance",
     "bonding_improvement",
     "group_masks",
-    "initial_chain_state",
     "interval_numbers",
-    "run_segment",
-    "swap_accept",
     "omega",
     "omega_of_assignment",
     "omega_of_design",

@@ -98,27 +98,222 @@ class SAParams:
 
 @dataclass
 class SAStats:
-    """Bookkeeping of one annealing run."""
+    """One annealing chain: its counters, best state and place in the schedule.
+
+    The record is the whole future of an anneal: with the problem state
+    captured next to it (:meth:`to_json`), a chain restored by
+    :meth:`from_json` walks on exactly as the uninterrupted one would.
+    :func:`advance` moves it; ``SimulatedAnnealer.optimize``, the tempering
+    segment job and ``SACheckpointer`` all hold a chain in this one form.
+    """
 
     proposed: int = 0
     infeasible: int = 0
     accepted: int = 0
     accepted_uphill: int = 0
-    #: Moves rejected because their cost delta was NaN/inf (see
-    #: ``SimulatedAnnealer.optimize``; normally 0).
+    #: Moves rejected because their cost delta was NaN/inf (normally 0).
     nonfinite_rejected: int = 0
     initial_cost: float = 0.0
-    final_cost: float = 0.0
+    #: Cost of the chain's current state; the final cost once it stops.
+    current_cost: float = 0.0
     best_cost: float = 0.0
+    #: Current cost at the end of every finished temperature tier.
     cost_trace: List[float] = field(default_factory=list)
     #: Snapshot of the best state seen (whatever the snapshot callable
     #: returned); ``None`` when no snapshot callable was supplied.
     best_snapshot: Optional[object] = None
+    #: Temperature of the tier in progress (or of the next one).
+    temperature: float = 0.0
+    #: Moves done, and accepted, in the tier in progress.
+    move_in_step: int = 0
+    step_accepted: int = 0
+    rng: Optional[random.Random] = None
+
+    @property
+    def final_cost(self) -> float:
+        return self.current_cost
+
+    @final_cost.setter
+    def final_cost(self, value: float) -> None:
+        self.current_cost = value
 
     @property
     def acceptance_ratio(self) -> float:
         feasible = self.proposed - self.infeasible
         return self.accepted / feasible if feasible else 0.0
+
+    @classmethod
+    def genesis(
+        cls, cost: float, temperature: float, seed: Optional[int], best=None
+    ) -> "SAStats":
+        """A fresh chain at *cost* and *temperature* with a seeded rng."""
+        if not math.isfinite(cost):
+            # There is no way to anneal from a poisoned cost: every delta
+            # would be NaN and Metropolis acceptance would be arbitrary.
+            raise NonFiniteCostError(f"initial annealing cost is non-finite: {cost!r}")
+        return cls(
+            initial_cost=cost,
+            current_cost=cost,
+            best_cost=cost,
+            best_snapshot=best,
+            temperature=float(temperature),
+            rng=random.Random(seed),
+        )
+
+    def to_json(self, state) -> dict:
+        """The chain as one JSON document, with the problem's *state* capture.
+
+        The layout is the checkpoint payload's (``CHECKPOINT_VERSION`` 1);
+        ``best`` is stored as it is, so snapshots must be JSON-able.
+        """
+        version, internal, gauss = self.rng.getstate()
+        document = {key: getattr(self, key) for key in _SCALARS}
+        document.update(
+            cost_trace=list(self.cost_trace),
+            step_proposed=self.move_in_step,
+            rng=[version, list(internal), gauss],
+            state=state,
+            best=self.best_snapshot,
+        )
+        return document
+
+    @classmethod
+    def from_json(cls, document: dict) -> "SAStats":
+        """The chain of a :meth:`to_json` document (its ``state`` aside)."""
+        version, internal, gauss = document["rng"]
+        rng = random.Random()
+        rng.setstate((version, tuple(internal), gauss))
+        return cls(
+            **{key: document[key] for key in _SCALARS},
+            cost_trace=list(document["cost_trace"]),
+            best_snapshot=document["best"],
+            rng=rng,
+        )
+
+
+#: The :class:`SAStats` fields a chain document stores under their own names.
+_SCALARS = (
+    "proposed", "infeasible", "accepted", "accepted_uphill", "nonfinite_rejected",
+    "initial_cost", "current_cost", "best_cost", "temperature", "move_in_step",
+    "step_accepted",
+)
+
+
+def advance(
+    chain: SAStats,
+    steps: int,
+    moves_per_temp: int,
+    cooling: float,
+    propose: Callable,
+    apply: Callable,
+    undo: Callable,
+    cost: Callable[[], float],
+    snapshot: Optional[Callable] = None,
+    checkpoint=None,
+    on_step: Optional[Callable] = None,
+    on_delta: Optional[Callable] = None,
+    on_nonfinite: Optional[Callable] = None,
+) -> None:
+    """Advance *chain* by *steps* temperature tiers: the Metropolis loop.
+
+    A tier the chain stopped inside (a checkpoint resume) counts as the
+    first of the *steps* and finishes from its next move.  *checkpoint*
+    (a bound :class:`~repro.exchange.checkpoint.SACheckpointer`) saves the
+    chain and the problem's capture every ``checkpoint.interval`` proposed
+    moves, mid-tier included.  The hooks are for telemetry:
+    ``on_step(chain, acceptance)`` after each tier, ``on_delta(delta)``
+    for every finite cost delta and ``on_nonfinite(cost, temperature)``
+    for a rejected NaN/inf one.
+
+    The counters live in locals while the moves run; *chain* is brought
+    up to date between runs of moves (at a checkpoint or a tier's end),
+    and every tier-end hook sees it current.
+    """
+    rng = chain.rng
+    uniform = rng.random
+    interval = checkpoint.interval if checkpoint is not None else 0
+    temperature = chain.temperature
+    current_cost = chain.current_cost
+    best_cost = chain.best_cost
+    best = chain.best_snapshot
+    infeasible = chain.infeasible
+    accepted = chain.accepted
+    accepted_uphill = chain.accepted_uphill
+    nonfinite_rejected = chain.nonfinite_rejected
+    step_accepted = chain.step_accepted
+    for __ in range(steps):
+        while chain.move_in_step < moves_per_temp:
+            # Run up to the tier's end or the next checkpoint, whichever
+            # comes first, so the move loop itself carries no cadence test.
+            start = chain.move_in_step
+            stop = moves_per_temp
+            if interval:
+                stop = min(stop, start + interval - chain.proposed % interval)
+            for __ in range(stop - start):
+                move = propose(rng)
+                if move is None:
+                    infeasible += 1
+                    continue
+                apply(move)
+                new_cost = cost()
+                delta = new_cost - current_cost
+                if not math.isfinite(delta):
+                    # A NaN/inf delta would make `random() < exp(-delta/T)`
+                    # silently accept a poisoned state (NaN comparisons are
+                    # False, but delta <= 0 already misfires for -inf, and a
+                    # NaN new_cost corrupts every later delta).  Reject the
+                    # move, keep the last trusted state, and record it.
+                    undo(move)
+                    nonfinite_rejected += 1
+                    if on_nonfinite is not None:
+                        on_nonfinite(new_cost, temperature)
+                    continue
+                if on_delta is not None:
+                    on_delta(delta)
+                # Draw the Metropolis uniform unconditionally so the rng
+                # stream advances identically for every finite applied move.
+                # With the short-circuit draw, a zero-delta move computed as
+                # 0.0 by one cost backend and +-1e-16 by another would
+                # consume different amounts of randomness and desync the
+                # backends' move sequences from that point on.
+                draw = uniform()
+                if delta <= 0 or draw < math.exp(-delta / temperature):
+                    current_cost = new_cost
+                    accepted += 1
+                    step_accepted += 1
+                    if delta > BEST_IMPROVEMENT_EPS:
+                        accepted_uphill += 1
+                    # Require a material improvement before re-snapshotting:
+                    # cost backends agree only to float rounding (~1e-16), so
+                    # a strict `<` would let one backend re-snapshot at an
+                    # equal-cost revisit the other skips, and the restored
+                    # "best" states would diverge.  Real Eq.-3 improvements
+                    # are orders of magnitude above this tolerance (it is the
+                    # same margin the polish stage uses).
+                    if current_cost < best_cost - BEST_IMPROVEMENT_EPS:
+                        best_cost = current_cost
+                        if snapshot is not None:
+                            best = snapshot()
+                else:
+                    undo(move)
+            chain.proposed += stop - start
+            chain.move_in_step = stop
+            chain.infeasible = infeasible
+            chain.accepted = accepted
+            chain.accepted_uphill = accepted_uphill
+            chain.nonfinite_rejected = nonfinite_rejected
+            chain.step_accepted = step_accepted
+            chain.current_cost = current_cost
+            chain.best_cost = best_cost
+            chain.best_snapshot = best
+            if interval and chain.proposed % interval == 0:
+                checkpoint.save(chain.to_json(checkpoint.capture()))
+        chain.cost_trace.append(current_cost)
+        if on_step is not None:
+            on_step(chain, step_accepted / moves_per_temp)
+        temperature *= cooling
+        chain.temperature = temperature
+        chain.move_in_step = chain.step_accepted = step_accepted = 0
 
 
 class SimulatedAnnealer:
@@ -156,63 +351,21 @@ class SimulatedAnnealer:
 
         *checkpoint* is a bound
         :class:`~repro.exchange.checkpoint.SACheckpointer`: every
-        ``checkpoint.interval`` proposed moves the full run state (problem
-        state via ``checkpoint.capture``, rng Mersenne state, accumulated
-        temperature, mid-step counters, stats, best-so-far) is atomically
-        persisted (the best-so-far snapshot as it is, so it must be
-        JSON-able).  When a valid checkpoint exists at start, the run
-        resumes from it and replays the exact continuation the
-        uninterrupted run would have produced — move for move, bit for
-        bit.  A completed run clears its checkpoint.
+        ``checkpoint.interval`` proposed moves the chain (:class:`SAStats`:
+        rng, temperature, counters, place in the tier, best-so-far) and the
+        problem state (``checkpoint.capture``) are atomically persisted.
+        When a valid checkpoint exists at start, the run resumes from it
+        and replays the exact continuation the uninterrupted run would
+        have produced — move for move, bit for bit.  A completed run
+        clears its checkpoint.
         """
         import time
 
-        from ..obs.metrics import SA_DELTA_BUCKETS
         from ..runtime.telemetry import get_telemetry
 
         telemetry = get_telemetry()
-        # Hoist the enabled check out of the move loop: with telemetry off
-        # the inner loop must touch no telemetry object at all (the ~16k
-        # moves of a production run are gated by ``benchmarks/bench_obs.py``
-        # to within 5% of an uninstrumented loop).
-        track = telemetry.enabled
-        delta_histogram = (
-            telemetry.metrics.histogram("sa.delta", SA_DELTA_BUCKETS) if track else None
-        )
-        curve = None
-        if track:
-            from ..obs.curves import CurveRecorder
-
-            # One sample per temperature step, stride-doubled to a bounded
-            # point budget; shipped as a single sa.curve event at the end
-            # (see repro.obs.curves).  Lives entirely outside the move loop.
-            curve = CurveRecorder()
-        rng = random.Random(seed)
         params = self.params
-        stats = SAStats()
-        current_cost = cost()
-        if not math.isfinite(current_cost):
-            # There is no way to anneal from a poisoned cost: every delta
-            # would be NaN and Metropolis acceptance would be arbitrary.
-            raise NonFiniteCostError(
-                f"initial annealing cost is non-finite: {current_cost!r}"
-            )
-        stats.initial_cost = current_cost
-        stats.best_cost = current_cost
-        best_snapshot = snapshot() if snapshot else None
-        telemetry.emit(
-            "sa.begin",
-            initial_cost=current_cost,
-            initial_temp=params.initial_temp,
-            steps=params.temperature_steps(),
-            moves_per_temp=params.moves_per_temp,
-        )
-
-        loop_started = time.perf_counter()
-        temperature = params.initial_temp
-        start_move = 0
-        step_proposed = step_accepted = 0
-        resumed = False
+        chain = None
         if checkpoint is not None:
             if snapshot is None or checkpoint.capture is None:
                 raise ValueError(
@@ -221,141 +374,82 @@ class SimulatedAnnealer:
                 )
             payload = checkpoint.load()
             if payload is not None:
-                # Restore in dependency order: problem state first (so the
-                # cost structures rebuild), then the exact scalar/rng state
-                # the uninterrupted run had at the moment of the save.
+                # Problem state first (so the cost structures rebuild), then
+                # the chain exactly as the uninterrupted run had it.
                 checkpoint.restore(payload["state"])
-                rng_state = payload["rng"]
-                rng.setstate((rng_state[0], tuple(rng_state[1]), rng_state[2]))
-                stats.proposed = int(payload["proposed"])
-                stats.infeasible = int(payload["infeasible"])
-                stats.accepted = int(payload["accepted"])
-                stats.accepted_uphill = int(payload["accepted_uphill"])
-                stats.nonfinite_rejected = int(payload["nonfinite_rejected"])
-                stats.initial_cost = payload["initial_cost"]
-                stats.best_cost = payload["best_cost"]
-                stats.cost_trace = list(payload["cost_trace"])
-                best_snapshot = payload.get("best")
-                current_cost = payload["current_cost"]
-                temperature = payload["temperature"]
-                start_move = int(payload["move_in_step"])
-                step_proposed = int(payload["step_proposed"])
-                step_accepted = int(payload["step_accepted"])
-                resumed = True
+                chain = SAStats.from_json(payload)
                 telemetry.emit(
                     "checkpoint.resumed",
-                    proposed=stats.proposed,
-                    temperature=round(temperature, 8),
+                    proposed=chain.proposed,
+                    temperature=round(chain.temperature, 8),
                 )
                 telemetry.count("checkpoint.resumes")
-        # Hoisted out of the move loop: the cadence test runs every move,
-        # so it must cost one local int check, not two attribute loads.
-        checkpoint_interval = checkpoint.interval if checkpoint is not None else 0
-        while temperature > params.final_temp:
-            if resumed:
-                # First step after a resume continues mid-step: keep the
-                # restored per-step counters and move index.
-                resumed = False
-            else:
-                step_proposed = step_accepted = 0
-            for move_index in range(start_move, params.moves_per_temp):
-                stats.proposed += 1
-                step_proposed += 1
-                move = propose(rng)
-                if move is None:
-                    stats.infeasible += 1
-                else:
-                    apply(move)
-                    new_cost = cost()
-                    delta = new_cost - current_cost
-                    if not math.isfinite(delta):
-                        # A NaN/inf delta would make `random() < exp(-delta/T)`
-                        # silently accept a poisoned state (NaN comparisons are
-                        # False, but delta <= 0 already misfires for -inf, and a
-                        # NaN new_cost corrupts every later delta).  Reject the
-                        # move, keep the last trusted state, and record it.
-                        undo(move)
-                        stats.nonfinite_rejected += 1
-                        telemetry.count("sa.nonfinite_rejected")
-                        telemetry.emit(
-                            "sa.nonfinite",
-                            cost=repr(new_cost),
-                            temperature=round(temperature, 8),
-                        )
-                    else:
-                        if delta_histogram is not None:
-                            delta_histogram.record(delta)
-                        # Draw the Metropolis uniform unconditionally so the rng
-                        # stream advances identically for every finite applied move.
-                        # With the short-circuit draw, a zero-delta move computed as
-                        # 0.0 by one cost backend and +-1e-16 by another would
-                        # consume different amounts of randomness and desync the
-                        # backends' move sequences from that point on.
-                        uniform = rng.random()
-                        if delta <= 0 or uniform < math.exp(-delta / temperature):
-                            current_cost = new_cost
-                            stats.accepted += 1
-                            step_accepted += 1
-                            if delta > BEST_IMPROVEMENT_EPS:
-                                stats.accepted_uphill += 1
-                            # Require a material improvement before re-snapshotting:
-                            # cost backends agree only to float rounding (~1e-16), so
-                            # a strict `<` would let one backend re-snapshot at an
-                            # equal-cost revisit the other skips, and the restored
-                            # "best" states would diverge.  Real Eq.-3 improvements
-                            # are orders of magnitude above this tolerance (it is the
-                            # same margin the polish stage uses).
-                            if current_cost < stats.best_cost - BEST_IMPROVEMENT_EPS:
-                                stats.best_cost = current_cost
-                                if snapshot:
-                                    best_snapshot = snapshot()
-                        else:
-                            undo(move)
-                # Outside the move if/else chain — never behind a skipped
-                # path — so the cadence cannot silently miss a beat when it
-                # lands on an infeasible or non-finite move.
-                if checkpoint_interval and stats.proposed % checkpoint_interval == 0:
-                    rng_state = rng.getstate()
-                    checkpoint.save(
-                        {
-                            "proposed": stats.proposed,
-                            "infeasible": stats.infeasible,
-                            "accepted": stats.accepted,
-                            "accepted_uphill": stats.accepted_uphill,
-                            "nonfinite_rejected": stats.nonfinite_rejected,
-                            "initial_cost": stats.initial_cost,
-                            "best_cost": stats.best_cost,
-                            "cost_trace": list(stats.cost_trace),
-                            "current_cost": current_cost,
-                            "temperature": temperature,
-                            "move_in_step": move_index + 1,
-                            "step_proposed": step_proposed,
-                            "step_accepted": step_accepted,
-                            "rng": [rng_state[0], list(rng_state[1]), rng_state[2]],
-                            "state": checkpoint.capture(),
-                            "best": best_snapshot,
-                        }
-                    )
-            start_move = 0
-            stats.cost_trace.append(current_cost)
-            if track:
-                acceptance = (
-                    step_accepted / step_proposed if step_proposed else 0.0
-                )
+        if chain is None:
+            chain = SAStats.genesis(
+                cost(), params.initial_temp, seed, snapshot() if snapshot else None
+            )
+        telemetry.emit(
+            "sa.begin",
+            initial_cost=chain.initial_cost,
+            initial_temp=params.initial_temp,
+            steps=params.temperature_steps(),
+            moves_per_temp=params.moves_per_temp,
+        )
+        # With telemetry off the move loop gets no hooks and touches no
+        # telemetry object at all (``benchmarks/bench_obs.py`` gates it
+        # against an uninstrumented loop).
+        track = telemetry.enabled
+        hooks = {}
+        if track:
+            from ..obs.curves import CurveRecorder
+            from ..obs.metrics import SA_DELTA_BUCKETS
+
+            # One sample per temperature step, stride-doubled to a bounded
+            # point budget; shipped as a single sa.curve event at the end
+            # (see repro.obs.curves).
+            curve = CurveRecorder()
+
+            def on_step(chain: SAStats, acceptance: float) -> None:
                 telemetry.emit(
                     "sa.step",
-                    temperature=round(temperature, 8),
-                    cost=current_cost,
+                    temperature=round(chain.temperature, 8),
+                    cost=chain.current_cost,
                     acceptance=acceptance,
                 )
                 curve.observe(
-                    stats.proposed, current_cost, stats.best_cost,
-                    acceptance, temperature,
+                    chain.proposed, chain.current_cost, chain.best_cost,
+                    acceptance, chain.temperature,
                 )
-            temperature *= params.cooling
 
-        stats.final_cost = current_cost
-        stats.best_snapshot = best_snapshot
+            def on_nonfinite(new_cost: float, temperature: float) -> None:
+                telemetry.count("sa.nonfinite_rejected")
+                telemetry.emit(
+                    "sa.nonfinite",
+                    cost=repr(new_cost),
+                    temperature=round(temperature, 8),
+                )
+
+            hooks = {
+                "on_step": on_step,
+                "on_delta": telemetry.metrics.histogram(
+                    "sa.delta", SA_DELTA_BUCKETS
+                ).record,
+                "on_nonfinite": on_nonfinite,
+            }
+        loop_started = time.perf_counter()
+        advance(
+            chain,
+            params.temperature_steps() - len(chain.cost_trace),
+            params.moves_per_temp,
+            params.cooling,
+            propose,
+            apply,
+            undo,
+            cost,
+            snapshot,
+            checkpoint,
+            **hooks,
+        )
         if checkpoint is not None:
             # A finished anneal leaves no checkpoint behind: resuming a
             # completed schedule would run moves past it.
@@ -363,20 +457,20 @@ class SimulatedAnnealer:
         if track:
             elapsed = time.perf_counter() - loop_started
             telemetry.metrics.gauge("sa.acceptance_ratio").set(
-                round(stats.acceptance_ratio, 6)
+                round(chain.acceptance_ratio, 6)
             )
             telemetry.emit(
                 "sa.end",
-                final_cost=stats.final_cost,
-                best_cost=stats.best_cost,
-                proposed=stats.proposed,
-                accepted=stats.accepted,
-                accepted_uphill=stats.accepted_uphill,
-                acceptance_ratio=stats.acceptance_ratio,
+                final_cost=chain.final_cost,
+                best_cost=chain.best_cost,
+                proposed=chain.proposed,
+                accepted=chain.accepted,
+                accepted_uphill=chain.accepted_uphill,
+                acceptance_ratio=chain.acceptance_ratio,
                 seconds=round(elapsed, 6),
-                moves_per_s=round(stats.proposed / elapsed, 1) if elapsed else 0.0,
-                nonfinite_rejected=stats.nonfinite_rejected,
+                moves_per_s=round(chain.proposed / elapsed, 1) if elapsed else 0.0,
+                nonfinite_rejected=chain.nonfinite_rejected,
             )
-            if curve is not None and curve.observed:
+            if curve.observed:
                 curve.emit(telemetry, circuit=curve_label)
-        return stats
+        return chain

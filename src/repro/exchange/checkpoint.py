@@ -1,10 +1,11 @@
 """Crash-safe SA checkpointing: periodic atomic snapshots of a live anneal.
 
 A checkpoint captures *everything* the annealer's future depends on —
-the kernel's slot lists and swap counter, the complete ``random.Random``
-Mersenne state, the accumulated temperature float, the mid-step move
-index, every stats counter, the cost trace, and the best-so-far snapshot
-— so a resumed run replays the exact move sequence the uninterrupted run
+the chain (:meth:`SAStats.to_json <repro.exchange.SAStats.to_json>`: the
+complete ``random.Random`` Mersenne state, the accumulated temperature
+float, the mid-step move index, every counter, the cost trace and the
+best-so-far snapshot) with the kernel's slot lists and swap counter as
+its ``state`` — so a resumed run replays the exact move sequence the uninterrupted run
 would have executed: same accept/reject trace, same final assignment,
 bit for bit.  ``repro.fuzz``'s ``checkpoint`` oracle enforces exactly
 that equivalence on seeded random cases.

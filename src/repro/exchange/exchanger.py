@@ -96,6 +96,37 @@ class FingerPadExchanger:
         """Anneal on the flat-array kernel, which also writes the report."""
         import time
 
+        from ..obs.spans import span
+        from ..runtime.telemetry import get_telemetry
+
+        kernel, report_before = self._start(assignments)
+        checkpoint = self.checkpoint
+        if checkpoint is not None:
+            checkpoint.bind(
+                capture=kernel.checkpoint_state, restore=kernel.restore_checkpoint
+            )
+            if checkpoint.run_key is None:
+                checkpoint.run_key = self._checkpoint_run_key(kernel, seed)
+        annealer = SimulatedAnnealer(self.params)
+        anneal_started = time.perf_counter()
+        with span("sa.anneal", get_telemetry()):
+            stats = annealer.optimize(
+                propose=kernel.propose,
+                apply=kernel.apply,
+                undo=kernel.undo,
+                cost=kernel.cost,
+                seed=seed,
+                snapshot=kernel.snapshot,
+                checkpoint=checkpoint,
+                curve_label=self.design.name,
+            )
+        return self._finish(
+            kernel, assignments, stats, report_before,
+            anneal_seconds=time.perf_counter() - anneal_started,
+        )
+
+    def _start(self, assignments: Dict):
+        """The kernel at *assignments* and its (Eq.-3 breakdown, omega)."""
         from ..kernels import ArrayExchangeKernel
         from ..obs.spans import span
         from ..runtime.telemetry import get_telemetry
@@ -113,35 +144,32 @@ class FingerPadExchanger:
                 power_only=self.power_only,
             )
         with span("exchange.report", telemetry):
-            breakdown_before = kernel.breakdown()
-            omega_before = kernel.omega
-        checkpoint = self.checkpoint
-        if checkpoint is not None:
-            checkpoint.bind(
-                capture=kernel.checkpoint_state, restore=kernel.restore_checkpoint
-            )
-            if checkpoint.run_key is None:
-                checkpoint.run_key = self._checkpoint_run_key(kernel, seed)
-        annealer = SimulatedAnnealer(self.params)
-        anneal_started = time.perf_counter()
-        with span("sa.anneal", telemetry):
-            stats = annealer.optimize(
-                propose=kernel.propose,
-                apply=kernel.apply,
-                undo=kernel.undo,
-                cost=kernel.cost,
-                seed=seed,
-                snapshot=kernel.snapshot,
-                checkpoint=checkpoint,
-                curve_label=self.design.name,
-            )
-        anneal_seconds = time.perf_counter() - anneal_started
+            return kernel, (kernel.breakdown(), kernel.omega)
+
+    def _finish(
+        self,
+        kernel,
+        assignments: Dict,
+        stats: SAStats,
+        report_before,
+        anneal_seconds: Optional[float] = None,
+    ) -> ExchangeResult:
+        """Restore the chain's best state, polish, check and report.
+
+        Shared by :meth:`_run_array` and the parallel-tempering finish
+        (which annealed elsewhere and passes no *anneal_seconds*, so emits
+        no ``kernel.stats``).
+        """
+        from ..obs.spans import span
+        from ..runtime.telemetry import get_telemetry
+
+        telemetry = get_telemetry()
         if stats.best_snapshot is not None:
             kernel.restore(stats.best_snapshot)
         if self.polish_passes:
             with span("kernel.polish", telemetry):
                 kernel.polish(self.polish_passes)
-        if telemetry.enabled:
+        if anneal_seconds is not None and telemetry.enabled:
             telemetry.emit(
                 "kernel.stats",
                 backend="array",
@@ -152,6 +180,7 @@ class FingerPadExchanger:
                 else 0.0,
                 seconds=round(anneal_seconds, 6),
             )
+        breakdown_before, omega_before = report_before
         with span("exchange.report", telemetry):
             before = {
                 side: assignment.copy() for side, assignment in assignments.items()

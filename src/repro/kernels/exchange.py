@@ -66,12 +66,14 @@ from .state import SideArrays, build_side_arrays, int_array, row_run_counts
 
 
 class ArrayExchangeKernel:
-    """Drop-in move source + cost for :class:`SimulatedAnnealer`.
+    """Drop-in move source + cost for the SA loop (:func:`repro.exchange.advance`).
 
     Construct from a design and its baseline (post-assignment)
     ``{side: Assignment}``; the kernel starts *at* the baseline.  Feed
     ``propose`` / ``apply`` / ``undo`` / ``cost`` / ``snapshot`` straight
-    into ``SimulatedAnnealer.optimize``.
+    into ``SimulatedAnnealer.optimize`` or ``advance`` (the tempering
+    segment job); :meth:`checkpoint_state` is the problem capture that a
+    checkpoint or a tempering chain stores next to its ``SAStats`` chain.
 
     ``demand`` maps a perimeter fraction to the relative current demand
     behind it (see :func:`repro.power.weighted_compact_cost`); ``None`` is

@@ -17,7 +17,6 @@ import numpy as np
 
 from ..errors import PackageModelError
 from ..geometry import Side
-from .net import Net
 from .quadrant import Quadrant
 from .stacking import StackingConfig
 
@@ -103,10 +102,6 @@ class PackageDesign:
     def total_net_count(self) -> int:
         """Total finger/pad count of the design (Table 1, column 2)."""
         return sum(quadrant.net_count for __, quadrant in self)
-
-    def all_nets(self) -> List[Net]:
-        """All nets in ring order: per side, netlist order."""
-        return [net for __, quadrant in self for net in quadrant.netlist]
 
     # -- chip boundary ring ---------------------------------------------------
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, Iterable, Iterator
 
@@ -60,22 +60,6 @@ class Net:
             raise PackageModelError(f"net tier must be >= 1, got {self.tier}")
         if not self.name:
             raise PackageModelError("net name must be non-empty")
-
-    def with_tier(self, tier: int) -> "Net":
-        """Copy of this net placed on a different die tier."""
-        return replace(self, tier=tier)
-
-    def tier_bitmask(self, psi: int) -> int:
-        """The unique tier parameter ``UP_d`` of the paper: one bit per tier.
-
-        For ``psi = 3`` tiers, tier 1 -> ``0b001``, tier 2 -> ``0b010``,
-        tier 3 -> ``0b100``.
-        """
-        if not (1 <= self.tier <= psi):
-            raise PackageModelError(
-                f"net {self.name} on tier {self.tier} outside 1..{psi}"
-            )
-        return 1 << (self.tier - 1)
 
 
 #: A net type's code in :attr:`NetList.types` is its index here.

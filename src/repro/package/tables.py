@@ -52,14 +52,23 @@ class QuadrantTables:
     via_ball: np.ndarray
 
     def indices(self, ids) -> np.ndarray:
-        """Net index of every net id in *ids*; an id below the smallest net id
-        raises :class:`IndexError`, as one past the largest does."""
+        """Net index of every net id in *ids*; an id of no net (below the
+        smallest, past the largest or in a gap between ids) raises
+        :class:`IndexError`."""
         ids = np.asarray(ids, dtype=np.int64)
-        if ids.size and ids.min() < self.id_base:
-            raise IndexError(f"net id {ids.min()} is below the quadrant's ids")
         if self.index_of_id is not None:
-            return self.index_of_id[ids - self.id_base]
-        return self.id_sorter[np.searchsorted(self.net_ids, ids, sorter=self.id_sorter)]
+            index = self.index_of_id[ids - self.id_base]
+        else:
+            index = self.id_sorter[
+                np.searchsorted(self.net_ids, ids, sorter=self.id_sorter)
+            ]
+        # a gap id finds -1 in the dense table or its neighbour in the
+        # sorted ids, and an id below the smallest wraps round: every one of
+        # them lands on a net whose id differs
+        wrong = self.net_ids[index] != ids
+        if wrong.any():
+            raise IndexError(f"net id {ids[wrong][0]} is no net of the quadrant")
+        return index
 
     def net_slots(self, order: Sequence[int]) -> np.ndarray:
         """0-based slot of every net index under a slot-ordered id list (the
@@ -68,10 +77,11 @@ class QuadrantTables:
         of the quadrant's (integer) net ids."""
         ids, count = np.asarray(order), len(self.net_ids)
         if ids.shape == (count,) and ids.dtype.kind in "iu":
-            # clipped into the id range, an id of no net finds some other
-            # net and fails the comparison instead of indexing out of range
-            index = self.indices(ids.clip(self.id_base, self.net_ids.max()))
-            if np.array_equal(self.net_ids[index], ids):
+            try:
+                index = self.indices(ids)
+            except IndexError:  # an id of no net
+                pass
+            else:
                 net_slot = np.full(count, -1, dtype=np.int64)
                 net_slot[index] = np.arange(count, dtype=np.int64)
                 if net_slot.min() >= 0:  # a duplicate leaves some net unplaced

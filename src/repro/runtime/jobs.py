@@ -220,14 +220,18 @@ def run_tempering_segment(params: dict, seed: Optional[int]):
     The coordinator (:mod:`repro.tune.tempering`) schedules K of these per
     round — one per chain — and swaps the returned kernel states between
     rounds.  ``params["chain"]`` carries the chain's full serialized state
-    (kernel checkpoint + rng + temperature + counters); when absent the
-    chain starts from genesis at ``params["temperature"]`` with *seed* as
-    its dedicated rng seed.  The baseline DFA assignment is derived from
-    ``assign_seed`` (not the chain seed) so every chain in a run anneals
-    the same starting configuration.
+    (:meth:`SAStats.to_json <repro.exchange.SAStats.to_json>` with the
+    kernel capture as its ``state``); when absent the chain starts from
+    genesis at ``params["temperature"]`` with *seed* as its dedicated rng
+    seed.  The baseline DFA assignment is derived from ``assign_seed``
+    (not the chain seed) so every chain in a run anneals the same starting
+    configuration.  Returns the new chain, one convergence sample per tier
+    (``[proposed, cost, best_cost, acceptance, temperature]``, the
+    ``sa.curve`` point layout) and the per-tier accepted-move counts (the
+    chain's accept trace, the determinism witness).
     """
     from ..assign import DFAAssigner
-    from ..exchange import initial_chain_state, run_segment
+    from ..exchange import SAStats, advance
     from ..kernels import ArrayExchangeKernel
 
     design = _build_circuit_design(params)
@@ -235,21 +239,38 @@ def run_tempering_segment(params: dict, seed: Optional[int]):
         DFAAssigner(), design, seed=int(params.get("assign_seed", 0))
     )
     kernel = ArrayExchangeKernel(design, baseline)
-    chain = params.get("chain")
-    if chain is None:
-        chain = initial_chain_state(
-            kernel, seed=seed, temperature=float(params["temperature"])
+    payload = params.get("chain")
+    if payload is None:
+        chain = SAStats.genesis(
+            kernel.cost(), float(params["temperature"]), seed, kernel.snapshot()
         )
-    state, samples, accept_trace = run_segment(
-        kernel,
+    else:
+        kernel.restore_checkpoint(payload["state"])
+        chain = SAStats.from_json(payload)
+    samples, accept_trace = [], []
+
+    def on_step(chain: SAStats, acceptance: float) -> None:
+        samples.append([
+            chain.proposed, chain.current_cost, chain.best_cost, acceptance,
+            chain.temperature,
+        ])
+        accept_trace.append(chain.step_accepted)
+
+    advance(
         chain,
-        steps=int(params["steps"]),
-        moves_per_temp=int(params["moves_per_temp"]),
-        cooling=float(params["cooling"]),
+        int(params["steps"]),
+        int(params["moves_per_temp"]),
+        float(params["cooling"]),
+        kernel.propose,
+        kernel.apply,
+        kernel.undo,
+        kernel.cost,
+        kernel.snapshot,
+        on_step=on_step,
     )
     return {
         "circuit": design.name,
-        "chain": state,
+        "chain": chain.to_json(kernel.checkpoint_state()),
         "samples": samples,
         "accept_trace": accept_trace,
     }

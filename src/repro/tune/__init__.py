@@ -15,7 +15,12 @@ from .sweep import (
     sweep_specs,
     write_report,
 )
-from .tempering import TemperingConfig, chain_temperatures, run_tempering
+from .tempering import (
+    TemperingConfig,
+    chain_temperatures,
+    run_tempering,
+    swap_accept,
+)
 
 __all__ = [
     "SweepGrid",
@@ -29,6 +34,7 @@ __all__ = [
     "render_pareto_svg",
     "run_sweep",
     "run_tempering",
+    "swap_accept",
     "sweep_specs",
     "write_report",
 ]

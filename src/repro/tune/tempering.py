@@ -22,11 +22,12 @@ chains never perturbs existing ones.
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
-from ..exchange import SAParams, swap_accept
+from ..exchange import SAParams
 from ..runtime.spec import JobSpec
 
 
@@ -159,7 +160,7 @@ def run_tempering(
                 )
                 if accepted:
                     swaps_accepted += 1
-                    for key in ("kernel", "current_cost"):
+                    for key in ("state", "current_cost"):
                         states[a][key], states[b][key] = (
                             states[b][key],
                             states[a][key],
@@ -203,6 +204,29 @@ def run_tempering(
     return result
 
 
+def swap_accept(
+    rng: random.Random,
+    cost_a: float,
+    cost_b: float,
+    temp_a: float,
+    temp_b: float,
+) -> Tuple[bool, float]:
+    """Replica-exchange Metropolis test between chains a (colder) and b.
+
+    ``p = min(1, exp((beta_a - beta_b) * (E_a - E_b)))``: exchanging a
+    worse configuration *down* the ladder is always accepted; pulling a
+    worse one down is accepted with Boltzmann probability.  Exactly one
+    uniform is consumed per call — accepted or not — so the swap rng
+    stream is a pure function of the swap count.  Returns
+    ``(accepted, uniform)``.
+    """
+    uniform = rng.random()
+    delta = (1.0 / temp_a - 1.0 / temp_b) * (cost_a - cost_b)
+    if delta >= 0:
+        return True, uniform
+    return uniform < math.exp(delta), uniform
+
+
 def _finalize(
     base_params: Dict,
     state: Dict,
@@ -211,14 +235,14 @@ def _finalize(
 ) -> Dict:
     """Measure the winning chain's best configuration like ``codesign``.
 
-    Rebuilds the kernel at the shared DFA baseline, restores the best
-    snapshot, applies the zero-temperature polish and takes the Eq.-3
-    totals and omega from the kernel's own report — the same discipline
-    as :meth:`FingerPadExchanger._run_array`.
+    Rebuilds the kernel at the shared DFA baseline and hands the chain to
+    the exchanger's own finish (:meth:`FingerPadExchanger._finish`):
+    restore the best snapshot, polish, check legality and take the Eq.-3
+    totals and omega from the kernel's report.
     """
-    from ..assign import DFAAssigner, assign_design, check_legal
+    from ..assign import DFAAssigner, assign_design
+    from ..exchange import FingerPadExchanger, SAStats
     from ..flow.metrics import improvement_ratio, measure
-    from ..kernels import ArrayExchangeKernel
     from ..power import PowerGridConfig
     from ..runtime.jobs import _build_circuit_design
 
@@ -226,23 +250,15 @@ def _finalize(
     baseline = assign_design(
         DFAAssigner(), design, seed=int(base_params.get("assign_seed", 0))
     )
-    kernel = ArrayExchangeKernel(design, baseline)
-    initial_cost = kernel.breakdown()["total"]
-    omega_before = kernel.omega
-    kernel.restore(state["best"])
-    if polish_passes:
-        kernel.polish(polish_passes)
-    final_cost = kernel.breakdown()["total"]
-    omega_after = kernel.omega
-    after = kernel.assignments()
-    for assignment in after.values():
-        check_legal(assignment)
+    exchanger = FingerPadExchanger(design, polish_passes=polish_passes)
+    kernel, report_before = exchanger._start(baseline)
+    chain = SAStats.from_json(state)
+    exchange = exchanger._finish(kernel, baseline, chain, report_before)
+    omega_before, omega_after = exchange.omega_before, exchange.omega_after
 
     grid_config = PowerGridConfig(size=int(grid))
     metrics_initial = measure(design, baseline, grid_config=grid_config)
-    metrics_final = measure(design, after, grid_config=grid_config)
-    proposed = int(state["proposed"])
-    accepted = int(state["accepted"])
+    metrics_final = measure(design, exchange.after, grid_config=grid_config)
     return {
         "circuit": design.name,
         "tiers": int(base_params.get("tiers", 1)),
@@ -256,12 +272,14 @@ def _finalize(
         else 0.0,
         "max_ir_drop_initial": metrics_initial.max_ir_drop,
         "max_ir_drop_final": metrics_final.max_ir_drop,
-        "final_cost": final_cost,
+        "final_cost": exchange.cost_breakdown_after["total"],
         "sa": {
-            "proposed": proposed,
-            "accepted": accepted,
-            "acceptance_ratio": accepted / proposed if proposed else 0.0,
-            "initial_cost": initial_cost,
-            "best_cost": float(state["best_cost"]),
+            "proposed": chain.proposed,
+            "accepted": chain.accepted,
+            "acceptance_ratio": chain.accepted / chain.proposed
+            if chain.proposed
+            else 0.0,
+            "initial_cost": exchange.cost_breakdown_before["total"],
+            "best_cost": chain.best_cost,
         },
     }

@@ -240,7 +240,7 @@ def _check_fastcost(
             for arrays in kernel.sides
         ])
         incremental = kernel.cost()
-    except ReproError as exc:
+    except (ReproError, IndexError) as exc:  # IndexError: an id of no net
         report.error(
             "assign.fastcost-drift",
             f"exchange cost could not be evaluated: {exc}",

@@ -52,8 +52,8 @@ class TestLoadDesign:
         save_design(design, path)
         loaded = api.load_design(path, verify="strict")
         assert loaded.total_net_count == design.total_net_count
-        assert {n.id for n in loaded.all_nets()} == {
-            n.id for n in design.all_nets()
+        assert {n.id for __, quadrant in loaded for n in quadrant.netlist} == {
+            n.id for __, quadrant in design for n in quadrant.netlist
         }
 
     def test_bool_rejected(self):

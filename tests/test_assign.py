@@ -180,6 +180,15 @@ class TestAssignmentConstructor:
         with pytest.raises(IndexError):
             quadrant_tables(quadrant_from_rows(rows)).indices([4])
 
+    @pytest.mark.parametrize(
+        "rows", [GAPPED_ROWS, [[5, 6, 700], [900]]], ids=["dense", "sparse"]
+    )
+    def test_table_lookup_of_a_gap_id_raises(self, rows):
+        """An id inside the id span that names no net must not read as -1
+        (dense table) or as a neighbouring net (sparse ``searchsorted``)."""
+        with pytest.raises(IndexError):
+            quadrant_tables(quadrant_from_rows(rows)).indices([5, 8])
+
 
 class TestLegality:
     def test_paper_orders_are_legal(self, fig5):

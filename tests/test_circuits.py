@@ -123,11 +123,13 @@ class TestBuildDesign:
     def test_deterministic(self):
         a = build_design(CIRCUIT_1, seed=5)
         b = build_design(CIRCUIT_1, seed=5)
-        assert [n.name for n in a.all_nets()] == [n.name for n in b.all_nets()]
+        assert [n.name for __, quadrant in a for n in quadrant.netlist] == [
+            n.name for __, quadrant in b for n in quadrant.netlist
+        ]
 
     def test_stacked_tiers_in_range(self):
         design = build_design(table1_circuit(1, tier_count=4), seed=0)
-        tiers = {net.tier for net in design.all_nets()}
+        tiers = {net.tier for __, quadrant in design for net in quadrant.netlist}
         assert tiers <= {1, 2, 3, 4}
         assert len(tiers) == 4
 

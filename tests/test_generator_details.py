@@ -17,7 +17,7 @@ class TestSupplyTyping:
         design = build_design(spec, seed=0)
         sequence = [
             net.net_type
-            for net in design.all_nets()
+            for __, quadrant in design for net in quadrant.netlist
             if net.net_type.is_supply
         ]
         # reconstruct the bank pattern: P P G G P P G G ...
@@ -31,25 +31,34 @@ class TestSupplyTyping:
         design = build_design(
             CircuitSpec(name="t", finger_count=64, supply_fraction=0.25), seed=1
         )
-        for net in design.all_nets():
-            if net.net_type is NetType.POWER:
-                assert net.name.startswith("VDD")
-            elif net.net_type is NetType.GROUND:
-                assert net.name.startswith("VSS")
-            else:
-                assert net.name.startswith("N")
+        for __, quadrant in design:
+            for net in quadrant.netlist:
+                if net.net_type is NetType.POWER:
+                    assert net.name.startswith("VDD")
+                elif net.net_type is NetType.GROUND:
+                    assert net.name.startswith("VSS")
+                else:
+                    assert net.name.startswith("N")
 
     def test_zero_supply_fraction(self):
         design = build_design(
             CircuitSpec(name="t", finger_count=32, supply_fraction=0.0), seed=0
         )
-        assert all(not net.net_type.is_supply for net in design.all_nets())
+        assert all(
+            not net.net_type.is_supply
+            for __, quadrant in design
+            for net in quadrant.netlist
+        )
 
     def test_full_supply_fraction(self):
         design = build_design(
             CircuitSpec(name="t", finger_count=32, supply_fraction=1.0), seed=0
         )
-        assert all(net.net_type.is_supply for net in design.all_nets())
+        assert all(
+            net.net_type.is_supply
+            for __, quadrant in design
+            for net in quadrant.netlist
+        )
 
 
 class TestStructure:
@@ -80,7 +89,7 @@ class TestStructure:
 
     def test_net_ids_follow_ring_order(self):
         design = build_design(CircuitSpec(name="t", finger_count=48), seed=0)
-        ids = [net.id for net in design.all_nets()]
+        ids = [net.id for __, quadrant in design for net in quadrant.netlist]
         assert ids == sorted(ids)
 
 
@@ -88,13 +97,15 @@ class TestTierAssignment:
     def test_tier_histogram_roughly_uniform(self):
         spec = CircuitSpec(name="t", finger_count=400, tier_count=4)
         design = build_design(spec, seed=0)
-        histogram = collections.Counter(net.tier for net in design.all_nets())
+        histogram = collections.Counter(
+            net.tier for __, quadrant in design for net in quadrant.netlist
+        )
         assert set(histogram) == {1, 2, 3, 4}
         assert max(histogram.values()) < 2 * min(histogram.values())
 
     def test_flat_design_single_tier(self):
         design = build_design(CircuitSpec(name="t", finger_count=48), seed=0)
-        assert {net.tier for net in design.all_nets()} == {1}
+        assert {net.tier for __, quadrant in design for net in quadrant.netlist} == {1}
 
 
 class TestSpecEdges:

@@ -34,15 +34,15 @@ class TestDesignRoundtrip:
         rebuilt = design_from_dict(payload)
         assert rebuilt.total_net_count == small_design.total_net_count
         assert rebuilt.name == small_design.name
-        assert [n.name for n in rebuilt.all_nets()] == [
-            n.name for n in small_design.all_nets()
+        assert [n.name for __, quadrant in rebuilt for n in quadrant.netlist] == [
+            n.name for __, quadrant in small_design for n in quadrant.netlist
         ]
 
     def test_stacking_preserved(self, stacked_design):
         rebuilt = design_from_dict(design_to_dict(stacked_design))
         assert rebuilt.stacking.tier_count == 4
-        assert [n.tier for n in rebuilt.all_nets()] == [
-            n.tier for n in stacked_design.all_nets()
+        assert [n.tier for __, quadrant in rebuilt for n in quadrant.netlist] == [
+            n.tier for __, quadrant in stacked_design for n in quadrant.netlist
         ]
 
     def test_file_roundtrip(self, small_design, tmp_path):

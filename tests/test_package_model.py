@@ -38,15 +38,6 @@ class TestNet:
         assert NetType.GROUND.is_supply
         assert not NetType.SIGNAL.is_supply
 
-    def test_tier_bitmask(self):
-        net = Net(id=0, name="N0", tier=3)
-        assert net.tier_bitmask(4) == 0b100
-        with pytest.raises(PackageModelError):
-            net.tier_bitmask(2)
-
-    def test_with_tier(self):
-        assert Net(id=0, name="N0").with_tier(2).tier == 2
-
 
 class TestNetList:
     def test_duplicate_ids_rejected(self):

@@ -46,7 +46,7 @@ class TestGeneratedDesigns:
         design = build(count, seed)
         assert design.total_net_count == count
         # net ids are dense and unique across the design
-        ids = sorted(net.id for net in design.all_nets())
+        ids = sorted(net.id for __, quadrant in design for net in quadrant.netlist)
         assert ids == list(range(count))
         # ring positions strictly increase around the ring
         positions = [
@@ -73,8 +73,8 @@ class TestGeneratedDesigns:
         design = build(count, seed, tiers=2)
         rebuilt = design_from_dict(design_to_dict(design))
         assert rebuilt.total_net_count == design.total_net_count
-        assert [n.tier for n in rebuilt.all_nets()] == [
-            n.tier for n in design.all_nets()
+        assert [n.tier for __, quadrant in rebuilt for n in quadrant.netlist] == [
+            n.tier for __, quadrant in design for n in quadrant.netlist
         ]
         assignments = assign_design(DFAAssigner(), design)
         rebuilt_assignments = assignments_from_dict(

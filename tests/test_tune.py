@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from repro.exchange import SAParams, swap_accept
+from repro.exchange import SAParams
 from repro.presets import TUNED_SCHEDULES, resolve_sa_params, tuned_schedule
 from repro.runtime import JobEngine, ResultCache, Telemetry
 from repro.tune import (
@@ -18,6 +18,7 @@ from repro.tune import (
     render_pareto_svg,
     run_sweep,
     run_tempering,
+    swap_accept,
     sweep_specs,
     write_report,
 )

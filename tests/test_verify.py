@@ -140,6 +140,25 @@ class TestCheckAssignments:
         report = check_assignments(design, assignments, deep=False)
         assert "assign.not-bijective" in report.codes("error")
 
+    @pytest.mark.parametrize(
+        "rows", [[[5, 6, 7], [9, 10, 11]], [[5, 6, 700], [900]]],
+        ids=["dense", "sparse"],
+    )
+    def test_fastcost_flags_an_id_of_no_net(self, rows):
+        """An order holding an id in a gap of the net ids must be an
+        ``assign.fastcost-drift`` finding, not a crash or a silent pass."""
+        from repro.verify.checkers import _check_fastcost
+
+        quadrant = quadrant_from_rows(rows, supply_ids=[6])
+        design = PackageDesign({Side.BOTTOM: quadrant}, name="gapped")
+        baseline = assign_design(DFAAssigner(), design)
+        corrupt = {side: a.copy() for side, a in baseline.items()}
+        order = corrupt[Side.BOTTOM]._order
+        order[order.index(5)] = 8
+        report = VerificationReport(subject="gapped")
+        _check_fastcost(design, corrupt, baseline, report)
+        assert "assign.fastcost-drift" in report.codes("error")
+
 
 class TestCheckPower:
     def test_clean_values(self):
