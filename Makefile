@@ -1,6 +1,6 @@
 # Convenience targets for the repro library.
 
-.PHONY: install test check bench bench-smoke bench-codesign-selftest bench-kernel bench-pipeline bench-obs bench-serve bench-journal bench-ledger bench-tempering serve-smoke scrape-smoke crash-smoke fuzz-smoke tune-smoke report examples clean
+.PHONY: install test check bench bench-smoke bench-codesign-selftest bench-kernel bench-pipeline bench-obs bench-serve bench-journal bench-ledger bench-tempering serve-smoke crash-smoke fuzz-smoke tune-smoke report examples clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -53,17 +53,12 @@ bench-obs:
 
 # Serving-layer end-to-end smoke (<60 s): start a real `repro serve`
 # subprocess on an ephemeral port, POST a co-design job, prove the
-# identical second request is served without re-executing, then SIGTERM
-# and require a clean drain with exit code 143 (see docs/serving.md).
+# identical second request is served without re-executing, check the
+# /v1/stats request histogram and health fields (GET /metrics is a 404),
+# then SIGTERM and require a clean drain with exit code 143 (see
+# docs/serving.md).
 serve-smoke:
 	PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) python -m repro.serve.smoke
-
-# Telemetry-plane smoke (<60 s): start a real daemon, submit a job, GET
-# /metrics, run the exposition through the promtool-style validator, and
-# require the request-latency histogram and queue gauges to show the
-# traffic; then SIGTERM -> 143 (see docs/observability.md).
-scrape-smoke:
-	PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) python -m repro.serve.scrape_smoke
 
 # Perf-regression ledger gate (<5 min): run every registered bench, append
 # schema-versioned records (git rev, seed, host fingerprint) to

@@ -20,8 +20,8 @@ a run:
   behind ``--profile``;
 - :mod:`~repro.obs.bench` — machine-readable ``BENCH_*.json`` perf
   records and their comparison;
-- :mod:`~repro.obs.live` — process-wide live metric aggregation and the
-  Prometheus text exposition scrape surface behind ``GET /metrics``;
+- :mod:`~repro.obs.live` — process-wide live metric aggregation behind
+  the daemon's ``GET /v1/stats``;
 - :mod:`~repro.obs.curves` — bounded SA convergence-curve capture
   (``sa.curve`` events) and their SVG/JSON rendering;
 - :mod:`~repro.obs.ledger` — the append-only perf-regression ledger
@@ -74,7 +74,6 @@ _LAZY_NAMES = {
     "load_bench_record": "bench",
     "compare_bench_records": "bench",
     "LiveRegistry": "live",
-    "validate_exposition": "live",
     "CurveRecorder": "curves",
     "render_curve_svg": "curves",
     "run_ledger": "ledger",

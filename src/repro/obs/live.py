@@ -1,4 +1,4 @@
-"""Live metric aggregation and Prometheus text exposition.
+"""Live metric aggregation behind the daemon's ``GET /v1/stats``.
 
 :mod:`repro.obs.metrics` instruments code with per-telemetry registries
 whose snapshots ride the trace as ``metrics`` events; :mod:`repro.obs.stats`
@@ -7,41 +7,36 @@ processes (the ``repro serve`` daemon): a :class:`LiveRegistry` is a
 process-wide, thread-safe aggregate that
 
 - hosts **directly instrumented** series (the daemon's request-latency
-  histograms, queue gauges, dedup counters) with per-label-set children —
-  ``registry.counter("serve_requests_total", endpoint="/v1/jobs")``;
+  histogram) with per-label-set children —
+  ``registry.histogram("repro_serve_request_seconds", bounds, endpoint=...)``;
 - **ingests** ``metrics`` events as they arrive from the telemetry sink
   (pool workers flush one snapshot per job; the engine flushes cumulative
-  snapshots per batch) and folds them into running totals, so a scrape
-  reflects every job finished so far instead of waiting for trace
-  post-processing.
+  snapshots per batch) and folds them into running totals, so
+  ``/v1/stats`` reflects every job finished so far instead of waiting for
+  trace post-processing.
 
 Ingest semantics.  A ``metrics`` event is a *cumulative snapshot* of one
 source registry, attributed by its ``job`` tag (worker flushes) or untagged
 (the host process's own registry).  Folding therefore computes the **delta**
 against the previous snapshot from the same source and adds only that, with
-Prometheus-style counter-reset detection: a snapshot whose count went
-*backwards* means the source restarted (a re-executed job label reuses a
-fresh worker telemetry), so the whole snapshot is folded as new.  Histogram
-deltas reuse the bucket layout contract of
-:func:`repro.obs.metrics.merge_histograms`.
+counter-reset detection: a snapshot whose count went *backwards* means the
+source restarted (a re-executed job label reuses a fresh worker telemetry),
+so the whole snapshot is folded as new.  Histogram deltas reuse the bucket
+layout contract of :func:`repro.obs.metrics.merge_histograms`.
 
-The scrape side is :meth:`LiveRegistry.render_prometheus` — text exposition
-format v0.0.4: ``# HELP``/``# TYPE`` lines, escaped label values, and
-cumulative ``_bucket``/``_sum``/``_count`` histogram series whose ``+Inf``
-bucket equals ``_count``.  :func:`validate_exposition` is a promtool-style
-line-grammar checker used by the tests and the scrape smoke harness.
+:meth:`LiveRegistry.snapshot` is the read side: every family and labeled
+child as JSON, served under ``metrics`` in the ``/v1/stats`` payload.
 """
 
 from __future__ import annotations
 
-import math
 import re
 import threading
 from bisect import bisect_right
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 #: Version of the ``/v1/stats`` live-snapshot payload.
-LIVE_SCHEMA = 1
+LIVE_SCHEMA = 2
 
 #: Default bounds for HTTP request latency (seconds).
 REQUEST_SECONDS_BUCKETS = (
@@ -73,47 +68,11 @@ def metric_name(raw: str, prefix: str = "repro_") -> str:
     return name
 
 
-def escape_label_value(value: str) -> str:
-    """Escape a label value per the exposition format: ``\\``, ``"``, ``\\n``."""
-    return (
-        str(value)
-        .replace("\\", r"\\")
-        .replace("\n", r"\n")
-        .replace('"', r"\"")
-    )
-
-
-def escape_help(text: str) -> str:
-    """Escape a HELP string: only ``\\`` and newline are special."""
-    return str(text).replace("\\", r"\\").replace("\n", r"\n")
-
-
-def format_value(value: float) -> str:
-    """A sample value in exposition syntax (``+Inf``/``-Inf``/``NaN``)."""
-    if math.isnan(value):
-        return "NaN"
-    if math.isinf(value):
-        return "+Inf" if value > 0 else "-Inf"
-    if float(value).is_integer() and abs(value) < 1e15:
-        return str(int(value))
-    return repr(float(value))
-
-
 _LabelItems = Tuple[Tuple[str, str], ...]
 
 
 def _label_key(labels: Dict[str, str]) -> _LabelItems:
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
-
-
-def _render_labels(items: _LabelItems, extra: Optional[List[Tuple[str, str]]] = None) -> str:
-    pairs = list(items) + list(extra or [])
-    if not pairs:
-        return ""
-    body = ",".join(
-        f'{name}="{escape_label_value(value)}"' for name, value in pairs
-    )
-    return "{" + body + "}"
 
 
 class LiveCounter:
@@ -162,7 +121,7 @@ class LiveHistogram:
     """One labeled fixed-bucket histogram child.
 
     Bucket ``counts[i]`` covers ``bounds[i-1] < v <= bounds[i]``; the last
-    slot is the overflow bucket (rendered as ``+Inf``), exactly matching
+    slot is the overflow bucket, exactly matching
     :class:`repro.obs.metrics.Histogram` so snapshots merge losslessly.
     """
 
@@ -193,6 +152,11 @@ class LiveHistogram:
         """Fold a pre-bucketed delta in (ingest path)."""
         if tuple(float(b) for b in bounds) != self.bounds:
             raise ValueError("cannot merge histograms with different bounds")
+        if len(counts) != len(self.counts):
+            raise ValueError(
+                f"histogram delta has {len(counts)} buckets, "
+                f"expected {len(self.counts)}"
+            )
         with self._lock:
             for i, c in enumerate(counts):
                 self.counts[i] += c
@@ -225,12 +189,11 @@ class _LiveMetric:
 
 
 class LiveRegistry:
-    """Process-wide live metric aggregate with a Prometheus scrape surface.
+    """Process-wide live metric aggregate served by ``/v1/stats``.
 
     Thread-safe throughout: direct instruments are updated from the event
     loop and from engine worker threads; :meth:`ingest` is called from the
-    telemetry sink (worker thread); :meth:`render_prometheus` /
-    :meth:`snapshot` from HTTP handlers.
+    telemetry sink (worker thread); :meth:`snapshot` from HTTP handlers.
     """
 
     def __init__(self, max_sources: int = MAX_SOURCES) -> None:
@@ -369,7 +332,7 @@ class LiveRegistry:
                     bounds, counts, count, total
                 )
 
-    # -- scrape surfaces ---------------------------------------------------
+    # -- read side ---------------------------------------------------------
 
     def snapshot(self) -> dict:
         """JSON-ready snapshot of every family and child (``/v1/stats``)."""
@@ -391,201 +354,3 @@ class LiveRegistry:
                 "series": series,
             }
         return out
-
-    def render_prometheus(self) -> str:
-        """The registry in text exposition format v0.0.4."""
-        with self._lock:
-            families = [
-                (family, list(family.children.items()))
-                for family in self._metrics.values()
-            ]
-        lines: List[str] = []
-        for family, children in sorted(families, key=lambda f: f[0].name):
-            if not children:
-                continue
-            name = family.name
-            lines.append(f"# HELP {name} {escape_help(family.help)}")
-            lines.append(f"# TYPE {name} {family.kind}")
-            for key, child in sorted(children, key=lambda c: c[0]):
-                snap = child.snapshot()
-                if family.kind == "histogram":
-                    cumulative = 0
-                    for bound, count in zip(
-                        snap["bounds"] + [math.inf],
-                        snap["counts"],
-                    ):
-                        cumulative += count
-                        le = "+Inf" if math.isinf(bound) else format_value(bound)
-                        lines.append(
-                            f"{name}_bucket"
-                            f"{_render_labels(key, [('le', le)])} {cumulative}"
-                        )
-                    lines.append(
-                        f"{name}_sum{_render_labels(key)} "
-                        f"{format_value(snap['sum'])}"
-                    )
-                    lines.append(
-                        f"{name}_count{_render_labels(key)} {snap['count']}"
-                    )
-                else:
-                    value = snap.get("value")
-                    if value is None:
-                        continue
-                    lines.append(
-                        f"{name}{_render_labels(key)} {format_value(value)}"
-                    )
-        return "\n".join(lines) + ("\n" if lines else "")
-
-
-# -- exposition grammar validation ----------------------------------------
-
-_SAMPLE_RE = re.compile(
-    r"^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)"
-    r"(?:\{(?P<labels>.*)\})?"
-    r"\s+(?P<value>[^ ]+)"
-    r"(?:\s+(?P<ts>-?[0-9]+))?$"
-)
-_VALUE_RE = re.compile(r"^(?:[+-]?Inf|NaN|-?[0-9]*\.?[0-9]+(?:[eE][+-]?[0-9]+)?)$")
-
-
-def _parse_labels(body: str) -> Optional[Dict[str, str]]:
-    """Parse a ``name="value",...`` label body; ``None`` on bad syntax."""
-    labels: Dict[str, str] = {}
-    i, n = 0, len(body)
-    while i < n:
-        match = re.match(r'([a-zA-Z_][a-zA-Z0-9_]*)="', body[i:])
-        if not match:
-            return None
-        name = match.group(1)
-        i += match.end()
-        value = []
-        while i < n:
-            ch = body[i]
-            if ch == "\\":
-                if i + 1 >= n or body[i + 1] not in ('\\', '"', "n"):
-                    return None
-                value.append({"\\": "\\", '"': '"', "n": "\n"}[body[i + 1]])
-                i += 2
-            elif ch == '"':
-                i += 1
-                break
-            elif ch == "\n":
-                return None
-            else:
-                value.append(ch)
-                i += 1
-        else:
-            return None
-        labels[name] = "".join(value)
-        if i < n:
-            if body[i] != ",":
-                return None
-            i += 1
-    return labels
-
-
-def validate_exposition(text: str) -> List[str]:
-    """Promtool-style grammar check of one exposition document.
-
-    Checks, per line: comment syntax, sample syntax (metric name, label
-    body, value token); per histogram child: bucket count monotonicity
-    (cumulative buckets never decrease) and ``+Inf`` bucket == ``_count``;
-    per family: samples only after a matching ``# TYPE``.  Returns a list
-    of problems (empty = valid).  An empty document is valid.
-    """
-    problems: List[str] = []
-    types: Dict[str, str] = {}
-    # (base name, labelset-minus-le) -> list of (le, cumulative count)
-    buckets: Dict[Tuple[str, _LabelItems], List[Tuple[float, float]]] = {}
-    counts: Dict[Tuple[str, _LabelItems], float] = {}
-
-    for lineno, line in enumerate(text.splitlines(), 1):
-        if not line:
-            continue
-        if line.startswith("#"):
-            parts = line.split(None, 3)
-            if len(parts) >= 2 and parts[1] in ("HELP", "TYPE"):
-                if len(parts) < 3 or not _NAME_RE.match(parts[2]):
-                    problems.append(f"line {lineno}: malformed {parts[1]} comment")
-                elif parts[1] == "TYPE":
-                    if len(parts) < 4 or parts[3] not in (
-                        "counter", "gauge", "histogram", "summary", "untyped"
-                    ):
-                        problems.append(f"line {lineno}: bad TYPE for {parts[2]}")
-                    elif parts[2] in types:
-                        problems.append(
-                            f"line {lineno}: duplicate TYPE for {parts[2]}"
-                        )
-                    else:
-                        types[parts[2]] = parts[3]
-            continue
-        match = _SAMPLE_RE.match(line)
-        if not match:
-            problems.append(f"line {lineno}: malformed sample: {line!r}")
-            continue
-        name = match.group("name")
-        label_body = match.group("labels")
-        labels = _parse_labels(label_body) if label_body is not None else {}
-        if labels is None:
-            problems.append(f"line {lineno}: malformed labels: {line!r}")
-            continue
-        if not _VALUE_RE.match(match.group("value")):
-            problems.append(
-                f"line {lineno}: bad sample value {match.group('value')!r}"
-            )
-            continue
-        value = float(
-            match.group("value")
-            .replace("+Inf", "inf").replace("-Inf", "-inf").replace("NaN", "nan")
-        )
-        base = name
-        for suffix in ("_bucket", "_sum", "_count"):
-            if name.endswith(suffix) and name[: -len(suffix)] in types:
-                base = name[: -len(suffix)]
-                break
-        declared = types.get(base) or types.get(name)
-        if declared is None:
-            problems.append(
-                f"line {lineno}: sample {name!r} has no preceding TYPE"
-            )
-            continue
-        if declared == "histogram":
-            other = _label_key({k: v for k, v in labels.items() if k != "le"})
-            if name.endswith("_bucket"):
-                le_raw = labels.get("le")
-                if le_raw is None:
-                    problems.append(f"line {lineno}: histogram bucket without le")
-                    continue
-                try:
-                    le = float(le_raw.replace("+Inf", "inf"))
-                except ValueError:
-                    problems.append(f"line {lineno}: bad le value {le_raw!r}")
-                    continue
-                series = buckets.setdefault((base, other), [])
-                if series:
-                    last_le, last_count = series[-1]
-                    if le <= last_le:
-                        problems.append(
-                            f"line {lineno}: bucket le={le_raw} out of order"
-                        )
-                    if value < last_count:
-                        problems.append(
-                            f"line {lineno}: cumulative bucket count decreased "
-                            f"({value} < {last_count})"
-                        )
-                series.append((le, value))
-            elif name.endswith("_count"):
-                counts[(base, other)] = value
-    for key, series in buckets.items():
-        if not series:
-            continue
-        if not math.isinf(series[-1][0]):
-            problems.append(f"histogram {key[0]}: missing +Inf bucket")
-            continue
-        count = counts.get(key)
-        if count is not None and series[-1][1] != count:
-            problems.append(
-                f"histogram {key[0]}: +Inf bucket ({series[-1][1]}) != "
-                f"_count ({count})"
-            )
-    return problems

@@ -714,7 +714,7 @@ class JobEngine:
                         if handle is not None:
                             handle.close(status="degraded" if degraded else status)
                 # Push this round's cumulative snapshot to the sink now
-                # rather than only at run() end, so a live /metrics scrape
+                # rather than only at run() end, so the daemon's /v1/stats
                 # mid-batch reflects completed work.  Safe to repeat: the
                 # live registry delta-folds per source and the post-hoc
                 # analyser keeps the last snapshot per tag.

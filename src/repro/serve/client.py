@@ -209,24 +209,6 @@ class ServeClient:
             raise ServeClientError(status, body)
         return body
 
-    def metrics(self) -> str:
-        """The raw Prometheus exposition text (``GET /metrics``)."""
-        connection = self._connect()
-        try:
-            connection.request("GET", "/metrics")
-            response = connection.getresponse()
-            raw = response.read()
-            if response.status != 200:
-                try:
-                    body = json.loads(raw)
-                except ValueError:
-                    body = {"error": {"code": "bad-response",
-                                      "message": raw.decode("utf-8", "replace")}}
-                raise ServeClientError(response.status, body)
-            return raw.decode("utf-8")
-        finally:
-            connection.close()
-
     def events(self, digest: str,
                timeout: Optional[float] = None,
                last_event_id: Optional[int] = None,

@@ -21,16 +21,14 @@ A stdlib-only asyncio HTTP/1.1 server in front of the
   in-flight jobs up to ``drain_deadline`` seconds, flush the trace sink,
   release the worker pool and exit ``128+signum``.
 
-- **Live telemetry plane** — every telemetry event also feeds a
-  process-wide :class:`~repro.obs.live.LiveRegistry`; ``GET /metrics``
-  scrapes it in Prometheus text exposition format and ``GET /v1/stats``
-  returns the same aggregate as JSON, including per-endpoint request
-  latency histograms, queue/in-flight gauges and dedup/429 counters.
+- **Live stats** — every telemetry event also feeds a process-wide
+  :class:`~repro.obs.live.LiveRegistry`; ``GET /v1/stats`` returns it as
+  JSON (per-endpoint request-latency histograms and the folded job
+  metrics) next to the ``/healthz`` document (counters, queue, cache).
 
 Endpoints (see ``docs/serving.md`` for the full wire reference)::
 
     GET  /healthz                   liveness + counters + cache stats
-    GET  /metrics                   Prometheus text exposition (v0.0.4)
     GET  /v1/stats                  live metric aggregate as JSON
     GET  /v1/schema                 wire/event schema versions, job kinds
     POST /v1/jobs                   submit (wire request; 200/202/400/429)
@@ -455,14 +453,7 @@ class ServeApp:
         """Dispatch one request; returns (status, connection-reusable)."""
         if path == "/healthz" and method == "GET":
             return await _send_json(writer, 200, self.health()), True
-        if path == "/metrics" and method == "GET":
-            self._sync_live()
-            return await _send_text(
-                writer, 200, self.live.render_prometheus(),
-                content_type="text/plain; version=0.0.4; charset=utf-8",
-            ), True
         if path == "/v1/stats" and method == "GET":
-            self._sync_live()
             return await _send_json(writer, 200, self.stats()), True
         if path == "/v1/schema" and method == "GET":
             return await _send_json(writer, 200, self.schema()), True
@@ -635,58 +626,6 @@ class ServeApp:
 
     # -- introspection -----------------------------------------------------
 
-    def _sync_live(self) -> None:
-        """Refresh the scrape-time series in the live registry.
-
-        Admission/settle counters and derived gauges are maintained as
-        plain ints on the hot path and mirrored here once per scrape —
-        the request path pays nothing for them.  The counter children are
-        overwritten (not incremented): both sides are monotonic totals of
-        the same process, so assignment preserves counter semantics.
-        """
-        live = self.live
-        for key, value in self.counters.items():
-            child = live.counter(
-                f"repro_serve_{key}_total",
-                help=f"serve lifecycle counter: {key}",
-            )
-            child.value = float(value)
-        pending = self.registry.pending
-        running = self.registry.running
-        workers = max(1, self.config.workers)
-        live.gauge(
-            "repro_serve_queue_depth", help="admitted jobs not yet settled"
-        ).set(pending)
-        live.gauge(
-            "repro_serve_queue_limit", help="admission backpressure limit"
-        ).set(self.config.queue_limit)
-        live.gauge(
-            "repro_serve_inflight_jobs", help="jobs currently executing"
-        ).set(running)
-        live.gauge(
-            "repro_serve_worker_utilization",
-            help="running jobs / worker pool size, capped at 1",
-        ).set(min(1.0, running / workers))
-        live.gauge(
-            "repro_serve_sse_subscribers", help="connected SSE clients"
-        ).set(self.registry.sse_subscribers)
-        live.gauge(
-            "repro_serve_uptime_seconds", help="seconds since daemon start"
-        ).set(time.monotonic() - self.started_at)
-        if self.cache is not None:
-            stats = self.cache.stats
-            for op, value in stats.items():
-                child = live.counter(
-                    "repro_serve_cache_total",
-                    help="result cache operations by outcome", op=op,
-                )
-                child.value = float(value)
-            lookups = stats.get("hits", 0) + stats.get("misses", 0)
-            live.gauge(
-                "repro_serve_cache_hit_ratio",
-                help="cache hits / lookups since start",
-            ).set(stats.get("hits", 0) / lookups if lookups else 0.0)
-
     def stats(self) -> dict:
         """The ``/v1/stats`` JSON snapshot: health plus the live metrics."""
         return {
@@ -708,7 +647,9 @@ class ServeApp:
             "queue": {
                 "pending": self.registry.pending,
                 "limit": self.config.queue_limit,
+                "running": self.registry.running,
             },
+            "sse_subscribers": self.registry.sse_subscribers,
             "cache": self.cache.stats if self.cache is not None else None,
             "engine": {
                 key: snapshot[key]
@@ -773,7 +714,7 @@ _STATUS_TEXT = {
 }
 
 _KNOWN_ENDPOINTS = frozenset(
-    ("/healthz", "/metrics", "/v1/stats", "/v1/schema", "/v1/jobs")
+    ("/healthz", "/v1/stats", "/v1/schema", "/v1/jobs")
 )
 
 
@@ -801,24 +742,6 @@ async def _send_json(writer, status: int, body: dict, headers=None) -> int:
             f"Content-Type: application/json\r\n"
             f"Content-Length: {len(payload)}\r\n"
             f"{extra}"
-        ).encode("latin-1")
-        + b"\r\n"
-        + payload
-    )
-    await writer.drain()
-    return status
-
-
-async def _send_text(
-    writer, status: int, body: str,
-    content_type: str = "text/plain; charset=utf-8",
-) -> int:
-    payload = body.encode("utf-8")
-    writer.write(
-        (
-            f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'OK')}\r\n"
-            f"Content-Type: {content_type}\r\n"
-            f"Content-Length: {len(payload)}\r\n"
         ).encode("latin-1")
         + b"\r\n"
         + payload

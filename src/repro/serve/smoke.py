@@ -11,7 +11,12 @@ full deployment path, not the in-process harness:
    from the cache or the in-memory registry (``cached``/``deduped``),
    never as a second execution;
 4. check ``/healthz`` accounting;
-5. SIGTERM the daemon and require a clean drain with exit code 143.
+5. check ``/v1/stats``: the request-latency histogram counted both
+   submits under ``endpoint="/v1/jobs"``, and its ``health`` carries the
+   counters and the queue's ``pending``/``limit``/``running``;
+6. require ``GET /metrics`` to be a 404 (``/v1/stats`` is the only
+   live-metrics surface);
+7. SIGTERM the daemon and require a clean drain with exit code 143.
 
 Exit code 0 = all checks passed; 1 = a check failed (each failure is
 printed); 2 = harness error (daemon did not start).
@@ -151,7 +156,7 @@ def run_smoke(workers: int = 1, verbose: bool = True) -> List[str]:
             health = client.health()
             counters = health.get("counters", {})
             check(
-                counters.get("executed", 0) <= 1,
+                counters.get("executed") == 1,
                 f"daemon executed exactly one job (executed="
                 f"{counters.get('executed')})",
             )
@@ -159,6 +164,39 @@ def run_smoke(workers: int = 1, verbose: bool = True) -> List[str]:
                 counters.get("requests", 0) >= 3,
                 "request counter advanced",
             )
+
+            stats = client.stats()
+            stats_health = stats.get("health", {})
+            check(
+                stats_health.get("status") == "ok",
+                "/v1/stats embeds a healthy /healthz snapshot",
+            )
+            family = stats.get("metrics", {}).get(
+                "repro_serve_request_seconds", {}
+            )
+            submits = sum(
+                series.get("count", 0)
+                for series in family.get("series", [])
+                if series.get("labels", {}).get("endpoint") == "/v1/jobs"
+            )
+            check(
+                submits >= 2,
+                f"request-latency histogram counted both submits under "
+                f"endpoint=/v1/jobs (count={submits})",
+            )
+            check(
+                stats_health.get("counters", {}).get("executed", 0) >= 1,
+                "/v1/stats health counts the executed job",
+            )
+            queue = stats_health.get("queue", {})
+            check(
+                all(key in queue for key in ("pending", "limit", "running")),
+                f"/v1/stats health queue carries pending, limit and "
+                f"running (got {sorted(queue)})",
+            )
+
+            status, _ = client._request("GET", "/metrics")
+            check(status == 404, f"GET /metrics is a 404 (got {status})")
         finally:
             returncode = stop_daemon(process, problems)
         check(
@@ -168,8 +206,7 @@ def run_smoke(workers: int = 1, verbose: bool = True) -> List[str]:
     return problems
 
 
-def smoke_main(argv, doc: str, label: str, run, workers: bool = True,
-               harness_errors=(RuntimeError,)) -> int:
+def smoke_main(argv, doc: str, label: str, run, workers: bool = True) -> int:
     """The smokes' shared CLI: exit 0 when every check passes, 1 when some
     fail and 2 when the harness itself breaks."""
     parser = argparse.ArgumentParser(description=doc.splitlines()[0])
@@ -180,7 +217,7 @@ def smoke_main(argv, doc: str, label: str, run, workers: bool = True,
     kwargs = {"workers": args.workers} if workers else {}
     try:
         problems = run(verbose=not args.quiet, **kwargs)
-    except harness_errors as exc:
+    except RuntimeError as exc:
         print(f"{label} harness error: {exc}", file=sys.stderr)
         return 2
     if problems:

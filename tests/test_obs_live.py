@@ -1,19 +1,15 @@
 """The live telemetry plane: :mod:`repro.obs.live` and its serve surface.
 
-Three layers under test: the :class:`LiveRegistry` aggregate itself
-(direct instruments, exposition rendering with full label escaping, and
-the delta-folding ingest of cumulative ``metrics`` snapshots), the
-promtool-style :func:`validate_exposition` grammar checker (both on our
-own output and on hand-written bad documents), and the daemon's
-``/metrics`` + ``/v1/stats`` endpoints against a real socket.  The
-JSONL sink's configurable flush cadence (satellite of the same PR)
-rides along at the end.
+Two layers under test: the :class:`LiveRegistry` aggregate itself
+(direct instruments, the JSON :meth:`~LiveRegistry.snapshot`, and the
+delta-folding ingest of cumulative ``metrics`` snapshots), and the
+daemon's ``/v1/stats`` endpoint against a real socket.  The JSONL sink's
+configurable flush cadence rides along at the end.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import time
 
 import pytest
@@ -22,18 +18,14 @@ from repro.obs.live import (
     LIVE_SCHEMA,
     REQUEST_SECONDS_BUCKETS,
     LiveRegistry,
-    escape_label_value,
-    format_value,
     metric_name,
-    validate_exposition,
 )
-from repro.obs.live import _parse_labels
 from repro.runtime import JsonlSink, register_job_type
 from repro.serve import ServeClient, ServeConfig, ServeHandle
 from repro.serve.daemon import _endpoint
 
 
-# -- names, escaping, values ------------------------------------------------
+# -- names, labels, values --------------------------------------------------
 
 
 def test_metric_name_sanitizes_and_prefixes():
@@ -42,73 +34,47 @@ def test_metric_name_sanitizes_and_prefixes():
     assert metric_name("repro_serve_requests_total") == "repro_serve_requests_total"
 
 
-def test_escape_label_value_covers_the_three_specials():
-    raw = 'a\\b"c\nd'
-    escaped = escape_label_value(raw)
-    assert escaped == 'a\\\\b\\"c\\nd'
-    # The validator's parser must invert the escaping exactly.
-    labels = _parse_labels(f'x="{escaped}"')
-    assert labels == {"x": raw}
-
-
-def test_format_value_special_floats():
-    assert format_value(float("inf")) == "+Inf"
-    assert format_value(float("-inf")) == "-Inf"
-    assert format_value(float("nan")) == "NaN"
-    assert format_value(3.0) == "3"
-    assert format_value(0.25) == "0.25"
-
-
-def test_escaped_labels_survive_a_full_render_and_validate():
+def test_special_label_values_round_trip_through_snapshot():
     registry = LiveRegistry()
     registry.counter("evil", path='with "quotes"').inc()
     registry.counter("evil", path="back\\slash").inc(2)
     registry.counter("evil", path="new\nline").inc(3)
-    text = registry.render_prometheus()
-    assert validate_exposition(text) == []
-    assert '\\"quotes\\"' in text
-    assert "back\\\\slash" in text
-    assert "new\\nline" in text
-    # No literal newline may survive inside a label value.
-    for line in text.splitlines():
-        assert line.count('"') % 2 == 0
+    series = registry.snapshot()["repro_evil"]["series"]
+    values = {row["labels"]["path"]: row["value"] for row in series}
+    assert values == {
+        'with "quotes"': 1.0, "back\\slash": 2.0, "new\nline": 3.0,
+    }
+    # The snapshot is the /v1/stats payload: it must survive JSON as-is.
+    assert json.loads(json.dumps(series)) == series
 
 
-# -- exposition rendering ---------------------------------------------------
+# -- the JSON snapshot ------------------------------------------------------
 
 
-def test_empty_registry_scrape_is_valid_and_empty():
-    registry = LiveRegistry()
-    assert registry.render_prometheus() == ""
-    assert validate_exposition("") == []
-
-
-def test_unset_gauge_is_skipped_not_rendered_as_none():
+def test_unset_gauge_snapshots_as_none():
     registry = LiveRegistry()
     registry.gauge("maybe")
     registry.gauge("surely").set(4.5)
-    text = registry.render_prometheus()
-    assert "repro_surely 4.5" in text
-    assert "repro_maybe" not in text.replace("# HELP repro_maybe", "").replace(
-        "# TYPE repro_maybe", ""
-    )
-    assert validate_exposition(text) == []
+    snapshot = registry.snapshot()
+    assert snapshot["repro_maybe"]["series"] == [
+        {"kind": "gauge", "value": None, "labels": {}}
+    ]
+    assert snapshot["repro_surely"]["series"][0]["value"] == 4.5
 
 
-def test_histogram_exposition_is_cumulative_and_inf_matches_count():
+def test_histogram_snapshot_buckets_sum_to_count():
     registry = LiveRegistry()
     hist = registry.histogram("lat", (0.1, 1.0, 10.0), route="a")
     for value in (0.05, 0.5, 0.5, 5.0, 50.0):
         hist.record(value)
-    text = registry.render_prometheus()
-    assert validate_exposition(text) == []
-    lines = [l for l in text.splitlines() if l.startswith("repro_lat_bucket")]
-    values = [float(l.rsplit(None, 1)[-1]) for l in lines]
-    assert values == sorted(values), "bucket counts must be cumulative"
-    assert values[-1] == 5.0
-    assert 'le="+Inf"' in lines[-1]
-    assert "repro_lat_count{route=\"a\"} 5" in text
-    assert "repro_lat_sum" in text
+    family = registry.snapshot()["repro_lat"]
+    assert family["kind"] == "histogram"
+    (series,) = family["series"]
+    assert series["labels"] == {"route": "a"}
+    assert series["bounds"] == [0.1, 1.0, 10.0]
+    assert series["counts"] == [1, 2, 1, 1]  # per bucket, overflow last
+    assert sum(series["counts"]) == series["count"] == 5
+    assert series["sum"] == pytest.approx(56.05)
 
 
 def test_kind_mismatch_is_rejected():
@@ -116,59 +82,6 @@ def test_kind_mismatch_is_rejected():
     registry.counter("thing").inc()
     with pytest.raises(ValueError):
         registry.gauge("thing")
-
-
-# -- the validator on bad documents -----------------------------------------
-
-
-@pytest.mark.parametrize(
-    "document, needle",
-    [
-        ("orphan_metric 1\n", "no preceding TYPE"),
-        (
-            "# TYPE h histogram\n"
-            'h_bucket{le="1"} 5\nh_bucket{le="0.5"} 6\n',
-            "out of order",
-        ),
-        (
-            "# TYPE h histogram\n"
-            'h_bucket{le="1"} 5\nh_bucket{le="2"} 3\n',
-            "decreased",
-        ),
-        (
-            "# TYPE h histogram\n"
-            'h_bucket{le="1"} 2\nh_bucket{le="+Inf"} 5\nh_count 4\n',
-            "+Inf bucket",
-        ),
-        (
-            "# TYPE h histogram\n"
-            'h_bucket{le="1"} 2\nh_sum 3\nh_count 2\n',
-            "missing +Inf",
-        ),
-        ("# TYPE c counter\n# TYPE c counter\nc 1\n", "duplicate TYPE"),
-        ("# TYPE c counter\nc{bad-name=\"x\"} 1\n", "malformed"),
-        ("# TYPE c counter\nc notanumber\n", "bad sample value"),
-        ("# TYPE c counter\nc{x=\"unterminated} 1\n", "malformed"),
-    ],
-)
-def test_validator_flags_bad_documents(document, needle):
-    problems = validate_exposition(document)
-    assert problems, f"expected problems for {document!r}"
-    assert any(needle in p for p in problems), problems
-
-
-def test_validator_accepts_a_correct_handwritten_document():
-    document = (
-        "# HELP h request latency\n"
-        "# TYPE h histogram\n"
-        'h_bucket{le="0.1"} 1\n'
-        'h_bucket{le="+Inf"} 3\n'
-        "h_sum 1.5\n"
-        "h_count 3\n"
-        "# TYPE c counter\n"
-        'c{job="x"} 7\n'
-    )
-    assert validate_exposition(document) == []
 
 
 # -- ingest: delta folding of cumulative snapshots --------------------------
@@ -237,6 +150,28 @@ def test_ingest_skips_malformed_snapshots_without_raising():
     assert not registry.ingest({"event": "metrics", "metrics": "not-a-dict"})
 
 
+@pytest.mark.parametrize("counts", [[1, 2, 3], [1]], ids=["long", "short"])
+def test_ingest_skips_histograms_with_the_wrong_bucket_count(counts):
+    registry = LiveRegistry()
+    assert registry.ingest(_metrics_event(
+        None,
+        h={"kind": "histogram", "bounds": [1.0], "counts": counts,
+           "count": 5, "sum": 1.0},
+        fine={"kind": "counter", "value": 1},
+    ))
+    assert registry.counter("fine").value == 1.0
+    # Nothing of the bad snapshot folds: no half-updated buckets, and no
+    # count that disagrees with them.
+    child = registry.histogram("h", [1.0])
+    assert child.counts == [0, 0] and child.count == 0
+    # It was not remembered either, so the next good snapshot folds whole.
+    registry.ingest(_metrics_event(None, h={
+        "kind": "histogram", "bounds": [1.0], "counts": [2, 1],
+        "count": 3, "sum": 2.5,
+    }))
+    assert child.counts == [2, 1] and child.count == 3
+
+
 def test_ingest_gauge_is_last_write_wins():
     registry = LiveRegistry()
     registry.ingest(_metrics_event(None, g={"kind": "gauge", "value": 3}))
@@ -255,7 +190,7 @@ def test_ingest_source_eviction_is_bounded():
     assert registry.counter("hits", kind="job").value == 10.0
 
 
-def test_ingested_series_render_validly():
+def test_ingested_series_carry_the_job_kind_label():
     registry = LiveRegistry()
     registry.ingest(_metrics_event("codesign[x]", **{
         "sa.delta": {
@@ -264,13 +199,15 @@ def test_ingested_series_render_validly():
         },
         "cache.hits": {"kind": "counter", "value": 4},
     }))
-    text = registry.render_prometheus()
-    assert validate_exposition(text) == []
-    assert "repro_sa_delta_bucket" in text
-    assert 'kind="codesign"' in text
+    snapshot = registry.snapshot()
+    (delta,) = snapshot["repro_sa_delta"]["series"]
+    assert delta["labels"] == {"kind": "codesign"}
+    assert delta["counts"] == [3, 2, 1] and delta["count"] == 6
+    (hits,) = snapshot["repro_cache_hits"]["series"]
+    assert hits["labels"] == {"kind": "codesign"} and hits["value"] == 4.0
 
 
-# -- the daemon scrape surface ----------------------------------------------
+# -- the daemon /v1/stats surface-------------------------------------------
 
 
 @register_job_type("live_echo")
@@ -290,24 +227,31 @@ def daemon(tmp_path):
 
 def test_endpoint_normalization_bounds_cardinality():
     assert _endpoint("/v1/jobs") == "/v1/jobs"
-    assert _endpoint("/metrics") == "/metrics"
+    assert _endpoint("/metrics") == "other"
     assert _endpoint("/v1/jobs/0123abc") == "/v1/jobs/:digest"
     assert _endpoint("/v1/jobs/0123abc/events") == "/v1/jobs/:digest/events"
     assert _endpoint("/who/knows") == "other"
 
 
-def test_daemon_metrics_endpoint_serves_valid_exposition(daemon):
+def test_daemon_serves_no_metrics_endpoint(daemon):
     client = ServeClient(port=daemon.port, timeout=60.0)
     client.submit("live_echo", {"value": 1}, seed=1)
-    client.submit("live_echo", {"value": 1}, seed=1)  # cache hit
-    text = client.metrics()
-    assert validate_exposition(text) == []
-    assert "repro_serve_request_seconds_bucket" in text
-    assert 'endpoint="/v1/jobs"' in text
-    assert "repro_serve_queue_depth" in text
-    assert "repro_serve_requests_total" in text
-    # The cache hit shows up both as a counter and in the hit ratio gauge.
-    assert "repro_serve_cache_total" in text
+    status, body = client._request("GET", "/metrics")
+    assert status == 404
+    assert body["error"]["code"] == "unknown-endpoint"
+
+
+def test_daemon_health_carries_running_jobs_and_sse_subscribers(daemon):
+    client = ServeClient(port=daemon.port, timeout=60.0)
+    client.submit("live_echo", {"value": 1}, seed=1)
+    client.submit("live_echo", {"value": 1}, seed=1)  # dedup
+    health = client.health()
+    assert health["queue"] == {
+        "pending": 0, "limit": daemon.config.queue_limit, "running": 0,
+    }
+    assert health["sse_subscribers"] == 0
+    assert health["counters"]["executed"] == 1
+    assert health["counters"]["deduped"] == 1
 
 
 def test_daemon_stats_endpoint_is_json_with_live_families(daemon):
@@ -316,6 +260,7 @@ def test_daemon_stats_endpoint_is_json_with_live_families(daemon):
     stats = client.stats()
     assert stats["live_schema"] == LIVE_SCHEMA
     assert stats["health"]["status"] == "ok"
+    assert stats["health"]["queue"]["running"] == 0
     families = stats["metrics"]
     assert "repro_serve_request_seconds" in families
     family = families["repro_serve_request_seconds"]
@@ -323,21 +268,18 @@ def test_daemon_stats_endpoint_is_json_with_live_families(daemon):
     series = family["series"][0]
     assert series["count"] >= 1
     assert len(series["counts"]) == len(REQUEST_SECONDS_BUCKETS) + 1
-    # The JSON snapshot and the text exposition agree on request totals.
-    text = client.metrics()
-    assert validate_exposition(text) == []
+    assert sum(series["counts"]) == series["count"]
+    # The serve counters live only in `health`, not mirrored as families.
+    assert [name for name in families if name.startswith("repro_serve_")] \
+        == ["repro_serve_request_seconds"]
 
 
 def test_daemon_request_histogram_separates_endpoints(daemon):
     client = ServeClient(port=daemon.port, timeout=60.0)
     client.submit("live_echo", {"value": 3}, seed=3)
     client.health()
-    text = client.metrics()
-    endpoints = {
-        line.split('endpoint="', 1)[1].split('"', 1)[0]
-        for line in text.splitlines()
-        if line.startswith("repro_serve_request_seconds_bucket")
-    }
+    family = client.stats()["metrics"]["repro_serve_request_seconds"]
+    endpoints = {series["labels"]["endpoint"] for series in family["series"]}
     assert "/v1/jobs" in endpoints
     assert "/healthz" in endpoints
 
